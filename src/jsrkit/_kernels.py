@@ -1,16 +1,12 @@
-"""Numerical hot loops with two interchangeable backends.
+"""Numerical hot loop with two interchangeable backends.
 
-The same two kernels exist as pure-numpy implementations and, when numba
-is importable and the environment variable ``JSRKIT_NO_NUMBA`` is unset,
-as ahead-of-time jitted versions.  The flag only selects the backend;
+The kernel exists as a pure-numpy implementation and, when numba is
+importable and the environment variable ``JSRKIT_NO_NUMBA`` is unset, as
+an ahead-of-time jitted version.  The flag only selects the backend;
 both produce identical results.
-
-Kernels:
 
 * ``polygon_gauge`` -- Minkowski gauge of a convex polygon with vertices
   on uniformly spaced rays, evaluated at a batch of points.
-* ``product_log_norm`` -- scaled max-entry norm of the matrix product
-  along a symbol sequence, with absorption detection.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ import os
 
 import numpy as np
 
-__all__ = ["USE_NUMBA", "polygon_gauge", "product_log_norm", "backend_name"]
+__all__ = ["USE_NUMBA", "polygon_gauge", "backend_name"]
 
 _disabled = os.environ.get("JSRKIT_NO_NUMBA", "") not in ("", "0")
 try:
@@ -85,67 +81,3 @@ def polygon_gauge(qx, qy, vx, vy):
     if USE_NUMBA:
         return _polygon_gauge_nb(qx, qy, vx, vy)
     return _polygon_gauge_py(qx, qy, vx, vy)
-
-
-def _product_log_norm_py(stack, symbols, floor):
-    d = stack.shape[1]
-    product = np.eye(d, dtype=np.complex128)
-    log_scale = 0.0
-    absorbed = -1
-    for step in range(symbols.shape[0]):
-        product = stack[symbols[step] - 1] @ product
-        m = np.max(np.abs(product))
-        if m == 0.0 or math.log(m) + log_scale < floor:
-            if absorbed < 0:
-                absorbed = step + 1
-            return -math.inf, absorbed
-        e = math.frexp(m)[1]
-        if e > 32 or e < -32:
-            product = product * 2.0**-e
-            log_scale += e * math.log(2.0)
-    m = np.max(np.abs(product))
-    return math.log(m) + log_scale, absorbed
-
-
-@njit(cache=True)
-def _product_log_norm_nb(stack, symbols, floor):  # pragma: no cover - jitted
-    d = stack.shape[1]
-    product = np.eye(d, dtype=np.complex128)
-    log_scale = 0.0
-    ln2 = math.log(2.0)
-    for step in range(symbols.shape[0]):
-        product = stack[symbols[step] - 1] @ product
-        m = 0.0
-        for r in range(d):
-            for c in range(d):
-                v = abs(product[r, c])
-                if v > m:
-                    m = v
-        if m == 0.0 or math.log(m) + log_scale < floor:
-            return -math.inf, step + 1
-        e = int(math.floor(math.log(m) / ln2)) + 1
-        if e > 32 or e < -32:
-            product = product * 2.0**-e
-            log_scale += e * ln2
-    m = 0.0
-    for r in range(d):
-        for c in range(d):
-            v = abs(product[r, c])
-            if v > m:
-                m = v
-    return math.log(m) + log_scale, -1
-
-
-def product_log_norm(stack, symbols, floor: float = math.log(1e-300)):
-    """log of the max-entry norm of L(symbols) and the absorption step.
-
-    Returns ``(log_norm, absorbed)`` where ``absorbed`` is the first step
-    at which the product norm fell below ``exp(floor)`` (or became exactly
-    zero), or -1 if it never did; in the absorbed case the log norm is
-    ``-inf``.
-    """
-    stack = np.ascontiguousarray(stack, dtype=np.complex128)
-    symbols = np.ascontiguousarray(symbols, dtype=np.int64)
-    if USE_NUMBA:
-        return _product_log_norm_nb(stack, symbols, floor)
-    return _product_log_norm_py(stack, symbols, floor)

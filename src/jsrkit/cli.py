@@ -170,7 +170,6 @@ def cmd_estimate(args) -> None:
         "gap": args.gap,
         "budget": args.budget,
         "max_depth": args.max_depth,
-        "threads": args.threads,
     }
     emit("estimate", sha, config, {"jsr": bounds_payload(b)}, started, args)
 
@@ -184,7 +183,6 @@ def cmd_bounds(args) -> None:
         "depth": args.depth,
         "norm": args.norm,
         "max_period": args.max_period,
-        "threads": args.threads,
     }
     results = {
         "upper_at_depth": upper,
@@ -200,7 +198,7 @@ def cmd_triangularise(args) -> None:
     tri = reducibility.triangularise(ms, tol=args.tol, seed=args.seed)
     upper_est = jsr_bounds.estimate(tri.upper_blocks, target_gap=args.gap)
     lower_est = jsr_bounds.estimate(tri.lower_blocks, target_gap=args.gap)
-    config = {"tol": args.tol, "seed": args.seed, "gap": args.gap, "threads": args.threads}
+    config = {"tol": args.tol, "seed": args.seed, "gap": args.gap}
     results = {
         "triangularisation": tri.to_json(),
         "upper_block_jsr": bounds_payload(upper_est),
@@ -228,7 +226,6 @@ def cmd_barabanov(args) -> None:
         "gap": args.gap,
         "max_depth": args.max_depth,
         "seed": args.seed,
-        "threads": args.threads,
     }
     results = {
         "rho_hat": cert.rho_hat,
@@ -341,7 +338,6 @@ def cmd_mather(args) -> None:
         "tol": args.tol,
         "gap": args.gap,
         "seed": args.seed,
-        "threads": args.threads,
     }
     results = {
         "rho_hat": rho_hat,
@@ -379,11 +375,8 @@ def cmd_stability(args) -> None:
         chain=chain,
         horizon=args.horizon,
         trials=args.trials,
-        threads=args.threads,
     )
-    config = dict(report.config)
-    config["threads"] = args.threads
-    emit("stability", sha, config, report.to_json(), started, args)
+    emit("stability", sha, report.config, report.to_json(), started, args)
 
 
 def cmd_one_ratio(args) -> None:
@@ -412,7 +405,6 @@ def cmd_one_ratio(args) -> None:
             "max_period": args.max_period,
             "grid": args.grid,
             "slack": args.slack,
-            "threads": args.threads,
         }
         results = {
             "max_adjacent_jump": curve["max_adjacent_jump"],
@@ -430,7 +422,6 @@ def cmd_one_ratio(args) -> None:
         "symbol": args.symbol,
         "max_period": args.max_period,
         "slack": args.slack,
-        "threads": args.threads,
     }
     results = {
         "gamma": est.gamma,
@@ -455,7 +446,6 @@ def cmd_beta(args) -> None:
         "depth": args.depth,
         "max_period": args.max_period,
         "norm": args.norm,
-        "threads": args.threads,
     }
     results = {"lower": lower, "upper": upper}
     emit("beta", sha, config, results, started, args)
@@ -469,9 +459,6 @@ def _add_common(p):
     p.add_argument("--family", help="built-in family name (e.g. hmst)")
     p.add_argument("--alpha", type=float, help="family parameter")
     p.add_argument("--output", help="write the JSON report here instead of stdout")
-    p.add_argument(
-        "--threads", type=int, default=1, help="worker thread cap (default 1)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,13 @@ import numpy as np
 from .errors import InputError
 from .matrices import MatrixSet, max_entry_norm
 
-__all__ = ["CocycleValue", "evaluate", "prefix_values", "cocycle_check"]
+__all__ = [
+    "CocycleValue",
+    "evaluate",
+    "prefix_values",
+    "cocycle_check",
+    "path_log_norms",
+]
 
 _LN2 = math.log(2.0)
 _SCALE_HI = 32  # rescale when the max entry leaves [2**-32, 2**32]
@@ -56,6 +62,52 @@ def _rescale(product: np.ndarray, log_scale: float):
         product = product * 2.0**-e
         log_scale += e * _LN2
     return product, log_scale
+
+
+def _rescale_batch(products: np.ndarray, log_scale: np.ndarray, m: np.ndarray):
+    """``_rescale`` for a (n, d, d) stack with max-entry norms m > 0, in place."""
+    e = np.frexp(m)[1]
+    big = np.abs(e) > _SCALE_HI
+    if big.any():
+        products[big] *= np.ldexp(1.0, -e[big])[:, None, None]
+        log_scale[big] += e[big] * _LN2
+
+
+def path_log_norms(stack: np.ndarray, steps, trials: int, floor: float):
+    """log max-entry norm of the product along each path, all paths at once.
+
+    ``stack`` is (l, d, d); ``steps`` yields, for each time step, the
+    0-based symbols of all trials as a (trials,) array, so a (n, trials)
+    array whose column t is the word of trial t will do.  Each step is one
+    batched matmul over the live trials, rescaled as in ``evaluate``.  A
+    trial whose product becomes exactly zero or falls below ``exp(floor)``
+    in true value is absorbed: it drops out, its log norm is -inf and its
+    absorption step (1-based) is recorded.  Once every trial is absorbed,
+    ``steps`` is read no further.  Returns ``(log_norm, absorbed)``, with
+    ``absorbed`` -1 for trials that never were.
+    """
+    product = np.tile(np.eye(stack.shape[1], dtype=stack.dtype), (trials, 1, 1))
+    log_scale = np.zeros(trials)
+    live = np.arange(trials)
+    log_norm = np.full(trials, -math.inf)
+    absorbed = np.full(trials, -1, dtype=np.int64)
+    with np.errstate(divide="ignore"):  # log(0) = -inf marks a zero product
+        for k, symbols in enumerate(steps):
+            product = stack[symbols[live]] @ product
+            m = np.abs(product).max(axis=(1, 2))
+            dead = np.log(m) + log_scale < floor
+            if dead.any():
+                absorbed[live[dead]] = k + 1
+                keep = ~dead
+                live, product, log_scale, m = (
+                    live[keep], product[keep], log_scale[keep], m[keep]
+                )
+                if live.size == 0:
+                    break
+            _rescale_batch(product, log_scale, m)
+        m = np.abs(product).max(axis=(1, 2), initial=0.0)
+        log_norm[live] = np.log(m) + log_scale
+    return log_norm, absorbed
 
 
 def evaluate(ms: MatrixSet, word) -> CocycleValue:

@@ -11,13 +11,12 @@ almost-everywhere statement.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from . import bounds as jsr_bounds
+from .cocycle import path_log_norms
 from .errors import InputError
 from .matrices import MatrixSet
 
@@ -30,6 +29,7 @@ __all__ = [
 ]
 
 _ABSORPTION_FLOOR = math.log(1e-300)
+_BLOCK_STEPS = 1024  # uniforms drawn per trial at a time
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,17 @@ class MarkovChainSpec:
 
     def __post_init__(self):
         p = np.asarray(self.transition, dtype=np.float64)
+        pi = np.asarray(self.initial, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise InputError("transition matrix must be square")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(pi))):
+            raise InputError("transition and initial entries must be finite")
         if np.any(p < 0) or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
             raise InputError("transition rows must be nonnegative and sum to 1")
-        pi = np.asarray(self.initial, dtype=np.float64)
         if pi.shape != (p.shape[0],) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise InputError("initial distribution must match and sum to 1")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
         object.__setattr__(self, "transition", p)
         object.__setattr__(self, "initial", pi)
 
@@ -102,17 +106,43 @@ class MarkovEstimate:
         return sum(1 for s in self.absorption_steps if s <= step) / self.trials
 
 
-def _simulate_symbols(chain: MarkovChainSpec, horizon: int, trial: int):
-    """Deterministic per-trial symbol path via a counter-based generator."""
-    seq = np.random.SeedSequence(entropy=chain.seed, spawn_key=(trial,))
-    rng = np.random.Generator(np.random.Philox(seq))
-    symbols = np.empty(horizon, dtype=np.int64)
-    state = int(rng.choice(chain.states, p=chain.initial))
-    symbols[0] = state + 1
-    for k in range(1, horizon):
-        state = int(rng.choice(chain.states, p=chain.transition[state]))
-        symbols[k] = state + 1
-    return symbols
+def _simulate_paths(chain: MarkovChainSpec, horizon: int, trials: int):
+    """Yield the 0-based states of all trials, one (trials,) array per step.
+
+    Trial t draws its uniforms from its own counter-based stream, in blocks
+    of ``_BLOCK_STEPS`` so that memory does not grow with the horizon, and
+    its path does not depend on how many trials run.  Each uniform is
+    inverted against the normalised cumulative row of the current state
+    with searchsorted(side="right") semantics, as ``Generator.choice(p=...)``
+    does, so the paths match one ``choice`` call per step bit for bit.
+    """
+    rngs = [
+        np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=chain.seed, spawn_key=(t,)))
+        )
+        for t in range(trials)
+    ]
+    start = chain.initial.cumsum()
+    start /= start[-1]
+    cdf = chain.transition.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    # searchsorted's right index is the count of cumulative entries <= u;
+    # the last entry of a row is 1 > u and never counts
+    columns = cdf[:, :-1].T.copy()
+    zero = np.zeros(trials, dtype=np.intp)
+    uniforms = np.empty((min(horizon, _BLOCK_STEPS), trials))
+    for k in range(horizon):
+        j = k % _BLOCK_STEPS
+        if j == 0:
+            n = min(_BLOCK_STEPS, horizon - k)
+            for t, rng in enumerate(rngs):
+                uniforms[:n, t] = rng.random(n)
+        u = uniforms[j]
+        if k == 0:
+            state = np.searchsorted(start, u, side="right")
+        else:
+            state = sum((column[state] <= u for column in columns), zero)
+        yield state
 
 
 def markov_lyapunov(
@@ -120,15 +150,16 @@ def markov_lyapunov(
     chain: MarkovChainSpec,
     horizon: int = 200,
     trials: int = 64,
-    threads: int = 1,
 ) -> MarkovEstimate:
     """Across-trial estimate of lim (1/n) log ||L(x, n)|| under the chain.
 
-    Trials are independent with per-trial derived seeds, so the result does
-    not depend on the number of worker threads.  A trial whose product
-    norm reaches exact zero (or underflows below 1e-300 in true value)
-    counts as absorbed and contributes absorption statistics instead of a
-    rate sample.
+    Every time step advances all trials together: one vectorised symbol
+    draw and one batched (trials, d, d) product step, in float64 when the
+    set is real.  Each trial has its own seeded stream, so its outcome does
+    not depend on the number of trials.  A trial whose product norm reaches
+    exact zero (or underflows below 1e-300 in true value) counts as
+    absorbed and contributes absorption statistics instead of a rate
+    sample.
     """
     if chain.states != len(ms):
         raise InputError("chain state count must match the matrix set")
@@ -136,24 +167,15 @@ def markov_lyapunov(
         raise InputError("the Markov chain must be full (all transitions positive)")
     if horizon < 1 or trials < 1:
         raise InputError("horizon and trials must be >= 1")
-    stack = np.ascontiguousarray(ms.stack())
-
-    def run(trial: int):
-        symbols = _simulate_symbols(chain, horizon, trial)
-        log_norm, absorbed = _kernels.product_log_norm(
-            stack, symbols, _ABSORPTION_FLOOR
-        )
-        return log_norm, absorbed
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(trials)))
-    else:
-        results = [run(t) for t in range(trials)]
-
-    rates = [r[0] / horizon for r in results if r[1] < 0]
-    steps = tuple(sorted(r[1] for r in results if r[1] >= 0))
-    if rates:
+    stack = ms.stack()
+    if ms.is_real():
+        stack = np.ascontiguousarray(stack.real)
+    log_norm, absorbed = path_log_norms(
+        stack, _simulate_paths(chain, horizon, trials), trials, _ABSORPTION_FLOOR
+    )
+    rates = log_norm[absorbed < 0] / horizon
+    steps = tuple(sorted(absorbed[absorbed >= 0].tolist()))
+    if rates.size:
         lam = float(np.mean(rates))
         stderr = (
             float(np.std(rates, ddof=1) / math.sqrt(len(rates)))
@@ -232,7 +254,6 @@ def classify(
     trials: int = 64,
     target_gap: float = 1e-8,
     budget: int = 200000,
-    threads: int = 1,
 ) -> StabilityReport:
     """Classify absolute, periodic and Markov asymptotic stability.
 
@@ -253,7 +274,7 @@ def classify(
     per_value, per_witness = jsr_bounds.lower_bound_periodic(ms, max_period)
     periodic = "CounterexampleWord" if per_value >= 1.0 else "StableUpTo"
 
-    me = markov_lyapunov(ms, chain, horizon=horizon, trials=trials, threads=threads)
+    me = markov_lyapunov(ms, chain, horizon=horizon, trials=trials)
     if me.absorbed_count > 0:
         markov = "ZeroAbsorption"
     elif me.lambda_hat + 3.0 * me.stderr < 0.0:

@@ -62,7 +62,7 @@ def test_estimate_report_shape(diag_file):
     assert jsr["lower_witness"] == [1]
     assert doc["timings"]["total_s"] >= 0.0
     # every tunable is echoed back in the config block
-    for key in ("gap", "budget", "max_depth", "threads"):
+    for key in ("gap", "budget", "max_depth"):
         assert key in doc["config"]
 
 
@@ -211,5 +211,5 @@ def test_unconverged_iteration_is_exit_4(tmp_path):
 def test_config_echo_lists_every_tunable(diag_file):
     # whatever can change the result must appear in the echoed config
     doc = run_json("mather", "--input", diag_file, "--depth", "6")
-    for key in ("depth", "tol", "gap", "seed", "threads"):
+    for key in ("depth", "tol", "gap", "seed"):
         assert key in doc["config"]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsrkit import MatrixSet, cocycle_check, evaluate, prefix_values
+from jsrkit.cocycle import path_log_norms
 
 from conftest import random_matrix_set
 
@@ -72,3 +73,16 @@ def test_composition_rule_complex_entries():
     word = tuple(int(s) for s in rng.integers(1, 4, size=8))
     for n in range(len(word) + 1):
         assert cocycle_check(ms, word, n)
+
+
+def test_path_log_norms_absorption_detected():
+    stack = np.stack([np.zeros((2, 2)), np.eye(2)]).astype(complex)
+    floor = math.log(1e-300)
+    symbols = np.array([2, 2, 1, 2])
+    log_norm, absorbed = path_log_norms(stack, (symbols - 1)[:, None], 1, floor)
+    assert absorbed[0] == 3  # the zero factor is the third one applied
+    assert log_norm[0] == -np.inf
+    symbols_ok = np.array([2, 2, 2])
+    log_norm, absorbed = path_log_norms(stack, (symbols_ok - 1)[:, None], 1, floor)
+    assert absorbed[0] == -1
+    assert log_norm[0] == 0.0

@@ -10,6 +10,8 @@ from jsrkit import (
     classify,
     markov_lyapunov,
 )
+from jsrkit.cocycle import path_log_norms
+from jsrkit.stability import _ABSORPTION_FLOOR, _simulate_paths
 
 from conftest import random_matrix_set
 
@@ -21,6 +23,20 @@ def test_chain_spec_validation():
     with pytest.raises(InputError):
         MarkovChainSpec(np.array([[0.5, 0.5], [0.5, 0.5]]),
                         np.array([0.7, 0.5]))
+
+
+def test_chain_spec_rejects_non_finite_entries_and_negative_seed():
+    # NaN entries used to pass and only failed later inside rng.choice
+    with pytest.raises(InputError):
+        MarkovChainSpec(np.full((2, 2), 0.5), np.array([np.nan, np.nan]))
+    with pytest.raises(InputError):
+        MarkovChainSpec(np.array([[np.nan, 0.5], [0.5, 0.5]]),
+                        np.array([0.5, 0.5]))
+    with pytest.raises(InputError):
+        MarkovChainSpec(np.array([[np.inf, 0.5], [0.5, 0.5]]),
+                        np.array([0.5, 0.5]))
+    with pytest.raises(InputError):
+        MarkovChainSpec.uniform(2, seed=-1)
 
 
 def test_uniform_chain_is_full():
@@ -64,11 +80,78 @@ def test_estimates_are_seed_reproducible(diag_set):
     assert a.stderr == b.stderr
 
 
-def test_estimates_independent_of_thread_count(diag_set):
-    chain = MarkovChainSpec.uniform(2, seed=11)
-    a = markov_lyapunov(diag_set, chain, horizon=50, trials=16, threads=1)
-    b = markov_lyapunov(diag_set, chain, horizon=50, trials=16, threads=4)
-    assert a.lambda_hat == b.lambda_hat
+def test_trial_outcomes_independent_of_trial_count():
+    # a second factor of the nilpotent matrix zeroes the product, so some
+    # trials are absorbed within the horizon and some are not
+    ms = MatrixSet((np.diag([3.0, 1.0]), np.diag([1.0, 3.0]),
+                    np.array([[0.0, 1.0], [0.0, 0.0]])))
+    chain = MarkovChainSpec.uniform(3, seed=11)
+    stack = ms.stack().real
+    paths = np.array(list(_simulate_paths(chain, 6, 16)))
+    assert np.array_equal(paths[:, :8], list(_simulate_paths(chain, 6, 8)))
+    log_norm, absorbed = path_log_norms(stack, paths, 16, _ABSORPTION_FLOOR)
+    log_norm8, absorbed8 = path_log_norms(stack, paths[:, :8], 8, _ABSORPTION_FLOOR)
+    assert np.array_equal(log_norm[:8], log_norm8)
+    assert np.array_equal(absorbed[:8], absorbed8)
+    assert 0 < np.count_nonzero(absorbed >= 0) < 16
+
+
+def _reference_markov(ms, chain, horizon, trials):
+    """One rng.choice per step and a scalar rescaled product per trial."""
+    rates, steps = [], []
+    for t in range(trials):
+        seq = np.random.SeedSequence(entropy=chain.seed, spawn_key=(t,))
+        rng = np.random.Generator(np.random.Philox(seq))
+        state = int(rng.choice(chain.states, p=chain.initial))
+        product = np.eye(ms.dim, dtype=np.complex128)
+        log_scale = 0.0
+        for k in range(horizon):
+            if k:
+                state = int(rng.choice(chain.states, p=chain.transition[state]))
+            product = ms.matrix(state + 1) @ product
+            m = np.max(np.abs(product))
+            if m == 0.0 or math.log(m) + log_scale < _ABSORPTION_FLOOR:
+                steps.append(k + 1)
+                break
+            e = math.frexp(m)[1]
+            if abs(e) > 32:
+                product = product * 2.0**-e
+                log_scale += e * math.log(2.0)
+        else:
+            log_norm = math.log(np.max(np.abs(product))) + log_scale
+            rates.append(log_norm / horizon)
+    lam = float(np.mean(rates)) if rates else math.nan
+    return lam, tuple(sorted(steps))
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(2024)
+    p3 = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]])
+    set3 = random_matrix_set(rng, dim=3, size=3)
+    # grows past the float64 range unless rescaled, over more steps than
+    # one block of uniforms holds
+    yield (random_matrix_set(rng, dim=2, size=2, complex_entries=True).scaled(20.0),
+           MarkovChainSpec.uniform(2, seed=5), 1100)
+    # non-uniform, started far from its stationary distribution
+    chain3 = MarkovChainSpec(p3, np.array([0.05, 0.05, 0.9]), seed=8)
+    yield set3, chain3, 300
+    # contracting so that about half the trials underflow the floor
+    yield set3.scaled(0.065), chain3, 300
+    yield (MatrixSet((np.array([[0.0, 1.0], [0.0, 0.0]]),
+                      np.array([[0.0, 0.0], [1.0, 0.0]]))),
+           MarkovChainSpec.uniform(2, seed=1), 300)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_batched_matches_per_trial_reference(case):
+    ms, chain, horizon = list(_equivalence_cases())[case]
+    lam, steps = _reference_markov(ms, chain, horizon=horizon, trials=12)
+    est = markov_lyapunov(ms, chain, horizon=horizon, trials=12)
+    assert est.absorption_steps == steps
+    if math.isnan(lam):
+        assert math.isnan(est.lambda_hat)
+    else:
+        assert abs(est.lambda_hat - lam) <= 1e-12
 
 
 def test_scale_equivariance_of_exponent():
