@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cocycle import periodic_values
 from .errors import InputError, ResourceCapError
 from .matrices import MatrixSet, operator_norm, spectral_radius
-from .words import normalize_periodic, primitive_necklaces
+from .words import normalize_periodic
 
 __all__ = [
     "JsrBounds",
@@ -97,28 +98,11 @@ def lower_bound_periodic(ms: MatrixSet, max_period: int):
 
     Returns ``(value, witness)`` with the witness a primitive word in
     least-rotation form; ties keep the earlier (shorter period, then
-    lexicographically smaller) witness.
+    lexicographically smaller) witness.  Candidates are the Lyndon words
+    of Duval's algorithm, period by period in lexicographic order, with
+    products built over their prefix trie (``cocycle.periodic_values``).
     """
-    if max_period < 1:
-        raise InputError("max_period must be >= 1")
-    best = -math.inf
-    witness = None
-    for w in primitive_necklaces(len(ms), max_period):
-        product = np.eye(ms.dim, dtype=np.complex128)
-        logsc = 0.0
-        for s in w:
-            product = ms.matrix(s) @ product
-            m = np.max(np.abs(product))
-            if m > 0.0:
-                e = math.frexp(m)[1]
-                if abs(e) > 32:
-                    product = product * 2.0**-e
-                    logsc += e * math.log(2.0)
-        r = spectral_radius(product)
-        val = math.exp((math.log(r) + logsc) / len(w)) if r > 0.0 else 0.0
-        if val > best:
-            best = val
-            witness = w
+    witness, best = max(periodic_values(ms, max_period), key=lambda t: t[1])
     return float(best), witness
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matrices import MatrixSet, max_entry_norm
+from .matrices import MatrixSet, _eigvals, max_entry_norm
+from .words import necklace_trie
 
 __all__ = [
     "CocycleValue",
@@ -27,6 +28,7 @@ __all__ = [
     "prefix_values",
     "cocycle_check",
     "path_log_norms",
+    "periodic_values",
 ]
 
 _LN2 = math.log(2.0)
@@ -65,7 +67,10 @@ def _rescale(product: np.ndarray, log_scale: float):
 
 
 def _rescale_batch(products: np.ndarray, log_scale: np.ndarray, m: np.ndarray):
-    """``_rescale`` for a (n, d, d) stack with max-entry norms m > 0, in place."""
+    """``_rescale`` for a (n, d, d) stack with max-entry norms m, in place.
+
+    A zero product (m = 0) is left as it is, log scale included.
+    """
     e = np.frexp(m)[1]
     big = np.abs(e) > _SCALE_HI
     if big.any():
@@ -108,6 +113,34 @@ def path_log_norms(stack: np.ndarray, steps, trials: int, floor: float):
         m = np.abs(product).max(axis=(1, 2), initial=0.0)
         log_norm[live] = np.log(m) + log_scale
     return log_norm, absorbed
+
+
+def periodic_values(ms: MatrixSet, max_period: int) -> list:
+    """``(w, rho(L(w))**(1/|w|))`` for the primitive necklaces w, |w| <= max_period.
+
+    Words come in (period, lex) order, as in ``words.primitive_necklaces``.
+    Products are built level by level over the necklaces' prefix trie, so a
+    shared prefix is multiplied once: one batched matmul per level, rescaled
+    as in ``evaluate``, and one eigensolver call per period.  Each value is
+    bit for bit the one ``evaluate`` and ``spectral_radius`` give; 0 for a
+    nilpotent product.
+    """
+    levels, periods = necklace_trie(len(ms), max_period)
+    stack = ms.stack()
+    product = np.eye(ms.dim, dtype=np.complex128)[None]
+    log_scale = np.zeros(1)
+    out = []
+    for n, (level, period) in enumerate(zip(levels, periods), start=1):
+        parent, symbol = np.array(level).T
+        product = stack[symbol] @ product[parent]
+        log_scale = log_scale[parent]
+        _rescale_batch(product, log_scale, np.abs(product).max(axis=(1, 2)))
+        nodes = [node for _, node in period]
+        radii = np.abs(_eigvals(product[nodes])).max(axis=1)
+        for (w, _), r, ls in zip(period, radii.tolist(), log_scale[nodes].tolist()):
+            # scalar log/exp: numpy's differ from them in the last bit
+            out.append((w, math.exp((math.log(r) + ls) / n) if r > 0.0 else 0.0))
+    return out
 
 
 def evaluate(ms: MatrixSet, word) -> CocycleValue:

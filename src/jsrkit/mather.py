@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cocycle import prefix_values
+from .cocycle import _rescale, evaluate, prefix_values
 from .errors import InconsistencyError, InputError
 from .matrices import MatrixSet, spectral_radius
 from .norms import NormModel, check_extremal
@@ -117,14 +117,7 @@ def build_mather_approx(
                 nw = w + (i,)
                 if nw[1:] not in prev:
                     continue
-                np_ = ms.matrix(i) @ p
-                m = np.max(np.abs(np_))
-                nls = ls
-                if m > 0.0:
-                    e = math.frexp(m)[1]
-                    if abs(e) > 32:
-                        np_ = np_ * 2.0**-e
-                        nls = ls + e * math.log(2.0)
+                np_, nls = _rescale(ms.matrix(i) @ p, ls)
                 nu = norm.induced(np_)
                 lognu = (
                     math.log(nu) + nls - n * logr if nu > 0.0 else -math.inf
@@ -170,25 +163,16 @@ def recurrent_ratio_check(
     count = 0
     for cycle in approx.graph.cycles(length_bound=length_bound):
         count += 1
-        product = np.eye(ms.dim, dtype=np.complex128)
-        logsc = 0.0
-        for s in cycle:
-            product = ms.matrix(s) @ product
-            m = np.max(np.abs(product))
-            if m > 0.0:
-                e = math.frexp(m)[1]
-                if abs(e) > 32:
-                    product = product * 2.0**-e
-                    logsc += e * math.log(2.0)
-        r = spectral_radius(product)
+        cv = evaluate(ms, cycle)
+        r = spectral_radius(cv.product)
         ratio = (
-            math.exp((math.log(r) + logsc) / len(cycle)) / approx.rho_hat
+            math.exp((math.log(r) + cv.log_scale) / len(cycle)) / approx.rho_hat
             if r > 0.0
             else 0.0
         )
         if ratio > best:
             best = ratio
-            best_cycle = tuple(cycle)
+            best_cycle = cv.word
         if best >= threshold or count >= cycle_cap:
             break
     return {
@@ -271,14 +255,7 @@ def find_extremal_prefix(
     ell = len(ms)
 
     def surviving(word, p, ls, i):
-        np_ = ms.matrix(i) @ p
-        m = np.max(np.abs(np_))
-        nls = ls
-        if m > 0.0:
-            e = math.frexp(m)[1]
-            if abs(e) > 32:
-                np_ = np_ * 2.0**-e
-                nls = ls + e * math.log(2.0)
+        np_, nls = _rescale(ms.matrix(i) @ p, ls)
         nu = norm.induced(np_)
         lognu = math.log(nu) + nls - (len(word) + 1) * logr if nu > 0.0 else -math.inf
         if lognu >= floor:

@@ -13,11 +13,10 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .cocycle import periodic_values
 from .errors import InputError
-from .matrices import MatrixSet, spectral_radius
-from .words import primitive_necklaces, symbol_frequency
+from .matrices import MatrixSet
+from .words import symbol_frequency
 
 __all__ = [
     "RatioEstimate",
@@ -40,21 +39,6 @@ class RatioEstimate:
     slack: float
 
 
-def _periodic_value(ms: MatrixSet, w) -> float:
-    product = np.eye(ms.dim, dtype=np.complex128)
-    logsc = 0.0
-    for s in w:
-        product = ms.matrix(s) @ product
-        m = np.max(np.abs(product))
-        if m > 0.0:
-            e = math.frexp(m)[1]
-            if abs(e) > 32:
-                product = product * 2.0**-e
-                logsc += e * math.log(2.0)
-    r = spectral_radius(product)
-    return math.exp((math.log(r) + logsc) / len(w)) if r > 0.0 else 0.0
-
-
 def optimal_periodic_ratio(
     ms: MatrixSet, symbol: int, max_period: int = 8, slack: float = 1e-6
 ) -> RatioEstimate:
@@ -68,13 +52,8 @@ def optimal_periodic_ratio(
     """
     if not 1 <= symbol <= len(ms):
         raise InputError(f"symbol {symbol} outside 1..{len(ms)}")
-    scored = []
-    best = -math.inf
-    for w in primitive_necklaces(len(ms), max_period):
-        val = _periodic_value(ms, w)
-        scored.append((w, val))
-        if val > best:
-            best = val
+    scored = periodic_values(ms, max_period)
+    best = max(val for _, val in scored)
     if best <= 0.0:
         # every periodic product is nilpotent; no frequency information
         return RatioEstimate(
@@ -89,11 +68,8 @@ def optimal_periodic_ratio(
     cutoff = (1.0 - slack) * best
     near = [(w, val) for (w, val) in scored if val >= cutoff]
     freqs = [symbol_frequency(w, symbol) for (w, _) in near]
-    best_word = max(near, key=lambda t: t[1])[0]
-    for w, val in near:  # earliest witness attaining the best value
-        if val >= best * (1.0 - 1e-15):
-            best_word = w
-            break
+    # earliest witness attaining the best value
+    best_word = next(w for w, val in near if val >= best * (1.0 - 1e-15))
     spread = max(freqs) - min(freqs)
     return RatioEstimate(
         symbol=symbol,

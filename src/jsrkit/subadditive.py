@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InputError, ResourceCapError
-from .matrices import MatrixSet, operator_norm
+from .cocycle import evaluate, periodic_values
+from .errors import InputError
+from .matrices import MatrixSet, max_entry_norm, operator_norm
 from .words import enumerate_words, primitive_necklaces
 
 __all__ = [
@@ -35,6 +34,9 @@ class SubadditiveObservable:
     evaluator: object  # callable Word -> float or -inf
     alphabet_size: int
     declared_subadditive: bool = True
+    # optional callable: period cap P -> the exact rates lim_k f_{kp}(w^k)/(kp)
+    # of the primitive necklaces w of period p <= P
+    periodic_rates: object = None
 
     def __call__(self, w) -> float:
         return float(self.evaluator(tuple(w)))
@@ -66,23 +68,18 @@ def matrix_observable(ms: MatrixSet, norm: str = "op") -> SubadditiveObservable:
     def evaluator(w):
         if not w:
             return 0.0
-        product = np.eye(ms.dim, dtype=np.complex128)
-        logsc = 0.0
-        for s in w:
-            product = ms.matrix(s) @ product
-            mx = np.max(np.abs(product))
-            if mx > 0.0:
-                e = math.frexp(mx)[1]
-                if abs(e) > 32:
-                    product = product * 2.0**-e
-                    logsc += e * math.log(2.0)
+        cv = evaluate(ms, w)
         if norm == "op":
-            value = operator_norm(product)
+            value = operator_norm(cv.product)
         else:
-            value = d * np.max(np.abs(product))
-        return math.log(value) + logsc if value > 0.0 else -math.inf
+            value = d * max_entry_norm(cv.product)
+        return math.log(value) + cv.log_scale if value > 0.0 else -math.inf
 
-    return SubadditiveObservable(evaluator=evaluator, alphabet_size=len(ms))
+    def periodic_rates(max_period):  # log rho(L(w))/|w|, the rate of w^k
+        values = periodic_values(ms, max_period)
+        return [math.log(v) if v > 0.0 else -math.inf for _, v in values]
+
+    return SubadditiveObservable(evaluator, len(ms), periodic_rates=periodic_rates)
 
 
 def fekete_limit(prefix) -> tuple:
@@ -122,11 +119,12 @@ def beta_sandwich(
 
     upper = min over n <= depth of (1/n) max over length-n words of f_n:
     the inf-sup side, always an upper bound by subadditivity.  lower = max
-    over primitive periodic words w of period p <= max_period of the
-    truncated periodic average inf_{k <= K} f_{kp}(w^k)/(kp) with
-    K = ceil(depth / p): the sup-inf side.  Because the truncation of the
-    inner infimum can only overestimate, the lower side is clamped to the
-    upper side, keeping lower <= upper unconditionally.
+    over primitive periodic words w of period p <= max_period of the rate
+    of w.  With the observable's exact ``periodic_rates`` that is a lower
+    bound.  Without them it is only an estimate: the truncated periodic
+    average inf_{k <= K} f_{kp}(w^k)/(kp) with K = ceil(depth / p), and the
+    truncation of the inner infimum can only overestimate.  Either way the
+    lower side is clamped to the upper side, keeping lower <= upper.
     """
     if not obs.declared_subadditive:
         raise InputError("beta_sandwich needs a declared-subadditive observable")
@@ -135,16 +133,17 @@ def beta_sandwich(
     ell = obs.alphabet_size
     upper = math.inf
     for n in range(1, depth + 1):
-        if ell**n > cap:
-            raise ResourceCapError(f"{ell}**{n} words exceed the cap of {cap}")
-        sup = max(obs(w) for w in enumerate_words(ell, n))
+        sup = max(obs(w) for w in enumerate_words(ell, n, cap))
         upper = min(upper, sup / n)
-    lower = -math.inf
-    for w in primitive_necklaces(ell, max_period):
-        p = len(w)
-        reps = max(1, math.ceil(depth / p))
-        inner = min(obs(w * k) / (k * p) for k in range(1, reps + 1))
-        lower = max(lower, inner)
+    if obs.periodic_rates is not None:
+        lower = max(obs.periodic_rates(max_period))
+    else:
+        lower = -math.inf
+        for w in primitive_necklaces(ell, max_period):
+            p = len(w)
+            reps = max(1, math.ceil(depth / p))
+            inner = min(obs(w * k) / (k * p) for k in range(1, reps + 1))
+            lower = max(lower, inner)
     lower = min(lower, upper)
     return lower, upper
 
@@ -166,20 +165,15 @@ def subordination_survivors(
     if depth < 1:
         raise InputError("depth must be >= 1")
     for n in range(1, depth + 1):
-        if ell**n > cap:
-            raise ResourceCapError(f"{ell}**{n} words exceed the cap of {cap}")
-        sup = max(obs(w) for w in enumerate_words(ell, n))
+        sup = max(obs(w) for w in enumerate_words(ell, n, cap))
         if abs(sup - n * lam) > tol * max(1.0, n):
             raise InputError(
                 f"hypothesis sup f_n = n*lam fails at depth {n}: "
                 f"sup = {sup}, n*lam = {n * lam}"
             )
     survivors = {}
-    level = [
-        (i,) for i in range(1, ell + 1) if obs((i,)) >= lam - tol
-    ]
-    survivors[1] = frozenset(level)
-    for n in range(2, depth + 1):
+    level = [()]
+    for n in range(1, depth + 1):
         level = [
             w + (i,)
             for w in level

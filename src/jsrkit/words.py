@@ -21,6 +21,7 @@ __all__ = [
     "least_rotation",
     "is_primitive",
     "normalize_periodic",
+    "necklace_trie",
     "primitive_necklaces",
     "symbol_frequency",
     "WordGraph",
@@ -81,19 +82,53 @@ def normalize_periodic(w):
         raise InputError("a periodic orbit needs period >= 1")
     n = len(w)
     for p in range(1, n + 1):
-        if n % p == 0 and w[:p] * (n // p) == w:
+        if n % p == 0 and w[:p] * (n // p) == w:  # holds at p = n at the latest
             return least_rotation(w[:p])
-    return least_rotation(w)
+
+
+def necklace_trie(ell: int, max_period: int):
+    """Primitive necklaces up to ``max_period`` with the trie of their prefixes.
+
+    Duval's algorithm (Fredricksen-Kessler-Maiorana) generates the Lyndon
+    words, i.e. the primitive least-rotation words, in lexicographic order.
+    Each shares with the previous one its prefix of length
+    min(|previous|, |word| - 1), so the trie is built in the same pass.
+    ``levels[k-1]`` lists the length-k prefixes in lexicographic order as
+    (parent's index in level k-1, 0 at the root; 0-based last symbol), and
+    ``periods[k-1]`` the necklaces of period k in lexicographic order as
+    (word, its node's index in level k).  Raises past the word cap before
+    generating anything.
+    """
+    if max_period < 1:
+        raise InputError("max_period must be >= 1")
+    enumerate_words(ell, max_period)  # raises past the word cap; makes no word
+    max_period = 1 if ell == 1 else max_period  # (1,) is the only necklace
+    levels = [[] for _ in range(max_period)]
+    periods = [[] for _ in range(max_period)]
+    path = [0] * (max_period + 1)  # trie node of each prefix of w
+    known = 0  # prefixes of w that are already trie nodes
+    w = [0]
+    while w:
+        w[-1] += 1
+        n = len(w)
+        for k in range(min(known, n - 1), n):
+            path[k + 1] = len(levels[k])
+            levels[k].append((path[k], w[k] - 1))
+        periods[n - 1].append((tuple(w), path[n]))
+        known = n
+        w += [w[k % n] for k in range(n, max_period)]  # periodic extension
+        while w and w[-1] == ell:
+            w.pop()
+    return levels, periods
 
 
 def primitive_necklaces(ell: int, max_period: int):
-    """Primitive least-rotation representatives, ordered by (period, lex)."""
-    if max_period < 1:
-        raise InputError("max_period must be >= 1")
-    for p in range(1, max_period + 1):
-        for w in enumerate_words(ell, p):
-            if w == least_rotation(w) and is_primitive(w):
-                yield w
+    """Primitive least-rotation representatives, ordered by (period, lex).
+
+    The Lyndon words of ``necklace_trie`` in Duval's lexicographic order,
+    stably sorted by length, as a list.
+    """
+    return [w for period in necklace_trie(ell, max_period)[1] for w, _ in period]
 
 
 def symbol_frequency(w, i: int) -> float:

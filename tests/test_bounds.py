@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from jsrkit import (
     InputError,
     MatrixSet,
+    ResourceCapError,
     estimate,
     lower_bound_periodic,
     upper_bound_at_depth,
 )
+from jsrkit.families import pair_family
 
 from conftest import GOLDEN, random_matrix_set
 
@@ -40,6 +43,23 @@ def test_periodic_lower_bound_witness_is_normalized(shear_pair):
     low, wit = lower_bound_periodic(shear_pair, 4)
     assert low == pytest.approx(GOLDEN, abs=1e-12)
     assert wit == (1, 2)
+
+
+def test_periodic_lower_bound_matches_per_word_results(shear_pair):
+    # the values and witnesses the per-word loop gave, to the last bit
+    assert lower_bound_periodic(shear_pair, 10) == (1.618033988749895, (1, 2))
+    assert lower_bound_periodic(pair_family(0.25), 10) == (
+        1.1059248167418656,
+        (1, 1, 1, 1, 1, 1, 1, 1, 2),
+    )
+
+
+def test_periodic_lower_bound_fails_fast_at_word_cap(shear_pair):
+    # 2**25 words exceed the cap; nothing may be generated before raising
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError):
+        lower_bound_periodic(shear_pair, 25)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_upper_bound_max_norm_dominates():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsrkit import MatrixSet, cocycle_check, evaluate, prefix_values
-from jsrkit.cocycle import path_log_norms
+from jsrkit.cocycle import path_log_norms, periodic_values
+from jsrkit.matrices import spectral_radius
+from jsrkit.words import enumerate_words, is_primitive, least_rotation
 
 from conftest import random_matrix_set
 
@@ -86,3 +88,52 @@ def test_path_log_norms_absorption_detected():
     log_norm, absorbed = path_log_norms(stack, (symbols_ok - 1)[:, None], 1, floor)
     assert absorbed[0] == -1
     assert log_norm[0] == 0.0
+
+
+def _reference_periodic_values(ms, max_period):
+    """The per-word loop: filter all words, multiply symbol by symbol."""
+    out = []
+    for p in range(1, max_period + 1):
+        for w in enumerate_words(len(ms), p):
+            if w != least_rotation(w) or not is_primitive(w):
+                continue
+            product = np.eye(ms.dim, dtype=np.complex128)
+            logsc = 0.0
+            for s in w:
+                product = ms.matrix(s) @ product
+                m = np.max(np.abs(product))
+                if m > 0.0:
+                    e = math.frexp(m)[1]
+                    if abs(e) > 32:
+                        product = product * 2.0**-e
+                        logsc += e * math.log(2.0)
+            r = spectral_radius(product)
+            val = math.exp((math.log(r) + logsc) / len(w)) if r > 0.0 else 0.0
+            out.append((w, val))
+    return out
+
+
+@pytest.mark.parametrize(
+    "dim, size, scale, complex_entries, nilpotent, max_period",
+    [
+        (3, 2, 1e12, False, False, 9),  # entries grow past 2**32: rescaled
+        (3, 2, 1e-12, False, False, 9),  # and shrink below 2**-32
+        (2, 2, 1.0, False, True, 10),  # a nilpotent factor: zero products
+        (2, 3, 1.0, True, False, 6),  # complex entries
+        (3, 1, 1e12, False, False, 12),  # one symbol: one necklace
+        (4, 3, 1.0, False, False, 5),
+    ],
+)
+def test_periodic_values_match_per_word_reference(
+    dim, size, scale, complex_entries, nilpotent, max_period
+):
+    rng = np.random.default_rng([31, dim, size, max_period])
+    ms = random_matrix_set(rng, dim=dim, size=size, complex_entries=complex_entries)
+    mats = [scale * a for a in ms.matrices]
+    if nilpotent:
+        mats[0] = np.triu(mats[0], 1)
+    ms = MatrixSet(tuple(mats))
+    # same words, same order, same floats
+    assert periodic_values(ms, max_period) == _reference_periodic_values(
+        ms, max_period
+    )

@@ -5,6 +5,7 @@ from jsrkit import (
     InputError,
     MatrixSet,
     NormModel,
+    RatioEstimate,
     build_mather_approx,
     optimal_periodic_ratio,
     ratio_curve,
@@ -26,6 +27,31 @@ def test_diagonal_pair_ratio_is_degenerate(diag_set):
     est = optimal_periodic_ratio(diag_set, 1, max_period=8)
     assert not est.unique_flag
     assert est.spread == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ratio_matches_per_word_results(shear_pair):
+    # the estimates the per-word loop gave, to the last bit
+    assert optimal_periodic_ratio(shear_pair, 1, max_period=10) == RatioEstimate(
+        symbol=1,
+        gamma=0.5,
+        spread=0.0,
+        witnesses=(((1, 2), 1.618033988749895),),
+        unique_flag=True,
+        max_period=10,
+        slack=1e-6,
+    )
+    word = (1, 1, 1, 1, 1, 1, 1, 1, 2)
+    assert optimal_periodic_ratio(pair_family(0.25), 1, max_period=10) == (
+        RatioEstimate(
+            symbol=1,
+            gamma=0.8888888888888888,
+            spread=0.0,
+            witnesses=((word, 1.1059248167418656),),
+            unique_flag=True,
+            max_period=10,
+            slack=1e-6,
+        )
+    )
 
 
 def test_ratio_symbol_validation(diag_set):

@@ -94,6 +94,19 @@ def test_beta_sandwich_agrees_with_jsr_bounds():
             assert low >= math.log(l_direct) - 1e-9
 
 
+def test_beta_sandwich_lower_side_is_a_bound_on_reproducer():
+    # log JSR = 0; the truncated periodic average read 1.498 here
+    obs = matrix_observable(MatrixSet(([[1.0, 100.0], [0.0, 1.0]],)))
+    low, up = beta_sandwich(obs, depth=4, max_period=2)
+    assert low <= 1e-12
+    assert up >= 0.0
+    # without exact periodic rates the lower side is only an estimate
+    generic = SubadditiveObservable(obs.evaluator, obs.alphabet_size)
+    low_est, up_est = beta_sandwich(generic, depth=4, max_period=2)
+    assert up_est == up
+    assert low_est == pytest.approx(1.4978676992623474, rel=1e-12)
+
+
 def test_subordination_survivors_diagonal(diag_set):
     obs = matrix_observable(diag_set, norm="op")
     surv = subordination_survivors(obs, math.log(3.0), depth=6, tol=1e-6)

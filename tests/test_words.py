@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jsrkit import (
+    InputError,
     ResourceCapError,
     WordGraph,
     cylinder_metric,
@@ -100,6 +101,28 @@ def test_primitive_necklace_counts():
         assert is_primitive(w)
         assert least_rotation(w) == w
     assert [len(by_len[n]) for n in range(1, 6)] == [2, 1, 2, 3, 6]
+
+
+def test_primitive_necklaces_match_brute_force_filter():
+    for ell in range(1, 5):
+        brute = [
+            w
+            for n in range(1, 8)
+            for w in enumerate_words(ell, n)
+            if w == least_rotation(w) and is_primitive(w)
+        ]
+        for max_period in range(1, 8):
+            expected = [w for w in brute if len(w) <= max_period]
+            assert primitive_necklaces(ell, max_period) == expected
+
+
+def test_primitive_necklaces_argument_checks():
+    with pytest.raises(InputError):
+        primitive_necklaces(0, 3)
+    with pytest.raises(InputError):
+        primitive_necklaces(2, 0)
+    with pytest.raises(ResourceCapError):
+        primitive_necklaces(2, 25)
 
 
 def test_symbol_frequency():
