@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import periodic_values
+from .cocycle import _rescale_batch, periodic_values
 from .errors import InputError, ResourceCapError
-from .matrices import MatrixSet, operator_norm, spectral_radius
+from .matrices import MatrixSet, _eigvals, _op_norms
 from .words import normalize_periodic
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
 ]
 
 DEFAULT_PRODUCT_CAP = 2**20
-_LOG_FLOOR = math.log(1e-300)
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,7 @@ class JsrBounds:
     norm_used: str
     converged: bool
     evaluations: int
+    stop_reason: str
 
     @property
     def gap(self) -> float:
@@ -49,7 +49,7 @@ class JsrBounds:
 def _batched_norms(stackd: np.ndarray, norm: str) -> np.ndarray:
     """Chosen submultiplicative norm of each matrix in a (m, d, d) stack."""
     if norm == "op":
-        return np.linalg.norm(stackd, ord=2, axis=(1, 2))
+        return _op_norms(stackd)
     if norm == "max":
         # d * max-entry is submultiplicative, unlike the bare max entry.
         d = stackd.shape[1]
@@ -120,90 +120,84 @@ def estimate(
     soon as beta(w) <= lower + target_gap/2.  Because any long product
     factors into blocks ending at cut points, the joint spectral radius is
     at most max(lower, max beta over cut branches, max beta over live
-    branches), which is the reported upper bound.  The result is
-    deterministic given (set, gap, budget).
+    branches), which is the reported upper bound.
+
+    Each level of the tree is one batched step over the frontier, a
+    (F, d, d) stack of scaled products: one matmul extends it by every
+    symbol (children entry-major, then by symbol), and one eigensolver and
+    one SVD call evaluate the new level.  ``stop_reason`` names the first
+    check that ended the sweep: ``frontier_empty``, ``gap``, ``max_depth``
+    or ``budget``.  The result is deterministic given the arguments.
     """
-    if target_gap <= 0.0:
+    if not target_gap > 0.0:  # NaN included
         raise InputError("target_gap must be > 0")
     if max_depth < 1:
         raise InputError("max_depth must be >= 1")
     slack = target_gap / 2.0
-    ell = len(ms)
+    ell, d = len(ms), ms.dim
     stack = ms.stack()
+    symbols = np.arange(1, ell + 1, dtype=np.min_scalar_type(ell))
 
-    lower = 0.0
-    witness = None
-    evaluations = 0
+    products, log_scale = stack.copy(), np.zeros(ell)
+    words, log_beta = symbols[:, None], np.full(ell, math.inf)
+    lower, witness, evaluations, depth = 0.0, None, ell, 1
     pruned_max = -math.inf  # max log-beta among cut branches
+    stop_reason = None
+    while stop_reason is None:
+        radii = np.abs(_eigvals(products)).max(axis=1).tolist()
+        norms = _op_norms(products).tolist()
+        scales = log_scale.tolist()
+        # scalar log/exp: numpy's differ from them in the last bit; the
+        # single matrices keep their raw spectral radii
+        if depth > 1:
+            radii = [
+                math.exp((math.log(r) + s) / depth) if r > 0.0 else 0.0
+                for r, s in zip(radii, scales)
+            ]
+        best = max(radii, default=0.0)
+        if best > lower:  # the first strict maximum in child order
+            lower = best
+            witness = normalize_periodic(words[radii.index(best)].tolist())
+        log_beta = np.minimum(log_beta, [
+            (math.log(x) + s) / depth if x > 0.0 else -math.inf
+            for x, s in zip(norms, scales)
+        ])
 
-    # frontier entries: (product, log_scale, word, log_beta)
-    frontier = []
-    for i in range(1, ell + 1):
-        a = ms.matrix(i)
-        evaluations += 1
-        r = spectral_radius(a)
-        if r > lower:
-            lower = r
-            witness = (i,)
-        nrm = operator_norm(a)
-        logbeta = math.log(nrm) if nrm > 0.0 else -math.inf
-        frontier.append((a.copy(), 0.0, (i,), logbeta))
+        live = log_beta > math.log(lower + slack)
+        pruned_max = max(pruned_max, float(log_beta[~live].max(initial=-math.inf)))
+        products, log_scale = products[live], log_scale[live]
+        words, log_beta = words[live], log_beta[live]
+        frontier_max = float(log_beta.max(initial=-math.inf))
+        upper = max(lower, math.exp(max(pruned_max, frontier_max)))
+        if not live.any():
+            stop_reason = "frontier_empty"
+        elif upper - lower <= target_gap:
+            stop_reason = "gap"
+        elif depth >= max_depth:
+            stop_reason = "max_depth"
+        elif evaluations + len(log_beta) * ell > budget:
+            stop_reason = "budget"
+        else:
+            products = (stack[None] @ products[:, None]).reshape(-1, d, d)
+            evaluations += len(products)
+            m = np.abs(products).max(axis=(1, 2))
+            nonzero = m > 0.0  # a zero product: the branch dies with rate 0
+            products, m = products[nonzero], m[nonzero]
+            log_scale = np.repeat(log_scale, ell)[nonzero]
+            log_beta = np.repeat(log_beta, ell)[nonzero]
+            words = np.hstack([
+                np.repeat(words, ell, axis=0), np.tile(symbols, len(words))[:, None]
+            ])[nonzero]
+            _rescale_batch(products, log_scale, m)
+            depth += 1
 
-    depth = 1
-    while True:
-        threshold = math.log(lower + slack) if lower + slack > 0.0 else -math.inf
-        live = []
-        for entry in frontier:
-            if entry[3] > threshold:
-                live.append(entry)
-            else:
-                pruned_max = max(pruned_max, entry[3])
-        frontier = live
-        if not frontier:
-            break
-        frontier_max = max(e[3] for e in frontier)
-        upper_now = max(lower, math.exp(max(pruned_max, frontier_max)))
-        if upper_now - lower <= target_gap:
-            break
-        if depth >= max_depth or evaluations + len(frontier) * ell > budget:
-            break
-        new_frontier = []
-        for product, logsc, word, logbeta in frontier:
-            for i in range(1, ell + 1):
-                p = stack[i - 1] @ product
-                evaluations += 1
-                m = np.max(np.abs(p))
-                if m == 0.0:
-                    continue  # zero product: the branch dies with rate 0
-                e = math.frexp(m)[1]
-                ls = logsc
-                if abs(e) > 32:
-                    p = p * 2.0**-e
-                    ls = logsc + e * math.log(2.0)
-                w = word + (i,)
-                n = len(w)
-                r = spectral_radius(p)
-                if r > 0.0:
-                    val = math.exp((math.log(r) + ls) / n)
-                    if val > lower:
-                        lower = val
-                        witness = normalize_periodic(w)
-                nrm = operator_norm(p)
-                avg = (math.log(nrm) + ls) / n if nrm > 0.0 else -math.inf
-                new_frontier.append((p, ls, w, min(logbeta, avg)))
-        frontier = new_frontier
-        depth += 1
-
-    candidates = [pruned_max] + [e[3] for e in frontier]
-    best_log = max(candidates)
-    upper = max(lower, math.exp(best_log) if best_log > -math.inf else 0.0)
-    converged = upper - lower <= target_gap
     return JsrBounds(
         lower=float(lower),
         upper=float(upper),
         lower_witness=witness,
         upper_depth=depth,
         norm_used="op",
-        converged=converged,
+        converged=upper - lower <= target_gap,
         evaluations=evaluations,
+        stop_reason=stop_reason,
     )

@@ -30,7 +30,7 @@ from .errors import (
     ResourceCapError,
 )
 from .families import FAMILIES
-from .matrices import MatrixSet, exterior_square
+from .matrices import MatrixSet
 
 __all__ = ["main"]
 
@@ -154,6 +154,7 @@ def bounds_payload(b: jsr_bounds.JsrBounds) -> dict:
         "norm_used": b.norm_used,
         "converged": b.converged,
         "evaluations": b.evaluations,
+        "stop_reason": b.stop_reason,
     }
 
 

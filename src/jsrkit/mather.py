@@ -21,7 +21,7 @@ from .cocycle import _rescale, evaluate, prefix_values
 from .errors import InconsistencyError, InputError
 from .matrices import MatrixSet, spectral_radius
 from .norms import NormModel, check_extremal
-from .words import WordGraph, cylinder_metric, strongly_connected_components
+from .words import WordGraph, strongly_connected_components
 
 __all__ = [
     "MatherApprox",

@@ -96,13 +96,17 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(_eigvals(a))))
 
 
-def operator_norm(a) -> float:
-    """Largest singular value (the norm induced by the Euclidean norm)."""
-    a = np.asarray(a, dtype=np.complex128)
+def _op_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (..., d, d) stack."""
     try:
-        return float(np.linalg.norm(a, 2))
+        return np.linalg.svd(a, compute_uv=False)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}", operand=a) from exc
+
+
+def operator_norm(a) -> float:
+    """Largest singular value (the norm induced by the Euclidean norm)."""
+    return float(_op_norms(np.asarray(a, dtype=np.complex128)))
 
 
 def max_entry_norm(a) -> float:

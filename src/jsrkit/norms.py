@@ -17,7 +17,7 @@ on an angular grid (d = 2) or by symmetric vertex propagation (d <= 4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog

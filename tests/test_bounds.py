@@ -10,6 +10,9 @@ from jsrkit import (
     ResourceCapError,
     estimate,
     lower_bound_periodic,
+    normalize_periodic,
+    operator_norm,
+    spectral_radius,
     upper_bound_at_depth,
 )
 from jsrkit.families import pair_family
@@ -107,6 +110,141 @@ def test_estimate_scale_equivariance():
                       max_depth=24)
         assert b2.lower == pytest.approx(c * b1.lower, rel=1e-9)
         assert b2.upper == pytest.approx(c * b1.upper, rel=1e-6)
+
+
+def _reference_estimate(ms, target_gap, budget, max_depth):
+    """The node-by-node sweep ``estimate`` batches, as a tuple of its fields."""
+    slack = target_gap / 2.0
+    ell = len(ms)
+    stack = ms.stack()
+    lower, witness, evaluations, pruned_max = 0.0, None, 0, -math.inf
+    frontier = []  # (product, log_scale, word, log_beta)
+    for i in range(1, ell + 1):
+        a = ms.matrix(i)
+        evaluations += 1
+        r = spectral_radius(a)
+        if r > lower:
+            lower, witness = r, (i,)
+        nrm = operator_norm(a)
+        frontier.append((a.copy(), 0.0, (i,), math.log(nrm) if nrm > 0.0 else -math.inf))
+    depth = 1
+    while True:
+        threshold = math.log(lower + slack)
+        pruned_max = max([pruned_max] + [e[3] for e in frontier if e[3] <= threshold])
+        frontier = [e for e in frontier if e[3] > threshold]
+        if not frontier:
+            break
+        upper_now = max(lower, math.exp(max(pruned_max, max(e[3] for e in frontier))))
+        if upper_now - lower <= target_gap:
+            break
+        if depth >= max_depth or evaluations + len(frontier) * ell > budget:
+            break
+        new_frontier = []
+        for product, logsc, word, logbeta in frontier:
+            for i in range(1, ell + 1):
+                p = stack[i - 1] @ product
+                evaluations += 1
+                m = np.max(np.abs(p))
+                if m == 0.0:
+                    continue
+                e = math.frexp(m)[1]
+                ls = logsc
+                if abs(e) > 32:
+                    p = p * 2.0**-e
+                    ls = logsc + e * math.log(2.0)
+                w = word + (i,)
+                r = spectral_radius(p)
+                if r > 0.0:
+                    val = math.exp((math.log(r) + ls) / len(w))
+                    if val > lower:
+                        lower, witness = val, normalize_periodic(w)
+                nrm = operator_norm(p)
+                avg = (math.log(nrm) + ls) / len(w) if nrm > 0.0 else -math.inf
+                new_frontier.append((p, ls, w, min(logbeta, avg)))
+        frontier = new_frontier
+        depth += 1
+    best_log = max([pruned_max] + [e[3] for e in frontier])
+    upper = max(lower, math.exp(best_log) if best_log > -math.inf else 0.0)
+    return (lower, upper, witness, depth, "op", upper - lower <= target_gap, evaluations)
+
+
+def _fields(b):
+    return (b.lower, b.upper, b.lower_witness, b.upper_depth, b.norm_used,
+            b.converged, b.evaluations)
+
+
+# ROADMAP C's reducible pair on which estimate runs to its budget
+STALL_PAIR = MatrixSet((np.array([[1.0, 100.0], [0.0, 1.0]]), 0.5 * np.eye(2)))
+
+# (seed, dim, size, scale, complex entries, first factor strictly triangular)
+REFERENCE_CASES = [
+    (1, 1, 3, 1.0, False, False),
+    (1, 4, 3, 1.0, False, False),
+    (3, 2, 3, 1e12, False, False),
+    (1, 3, 3, 1e-12, True, False),
+    (6, 4, 2, 1e12, True, True),
+    (2, 2, 3, 1e-12, False, True),
+    (42, 3, 2, 1.0, True, True),
+]
+
+
+@pytest.mark.parametrize("seed,dim,size,scale,complex_entries,triangular", REFERENCE_CASES)
+def test_estimate_matches_node_by_node_reference(seed, dim, size, scale,
+                                                 complex_entries, triangular):
+    rng = np.random.default_rng(seed)
+    ms = random_matrix_set(rng, dim, size, complex_entries)
+    mats = [scale * a for a in ms.matrices]
+    if triangular:
+        mats[0] = np.triu(mats[0], 1)
+    ms = MatrixSet(tuple(mats))
+    args = (1e-3 * scale, 4000, 64)
+    assert _fields(estimate(ms, *args)) == _reference_estimate(ms, *args)
+
+
+@pytest.mark.parametrize("ms", [
+    MatrixSet((np.zeros((2, 2)), np.zeros((2, 2)))),
+    MatrixSet((np.eye(2, k=1), np.eye(2, k=-1))),  # zero products from depth 2 on
+    MatrixSet((np.diag([3.0, 1.0]), np.diag([1.0, 3.0]))),  # ties: first max wins
+    STALL_PAIR,
+    # numpy's vectorised exp rounds this set's depth-2 rate differently
+    MatrixSet((np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]])))
+    .scaled(5.125),
+], ids=["zero", "nilpotent", "diagonal", "stall", "scaled_shear"])
+def test_estimate_matches_reference_on_edge_sets(ms):
+    args = (1e-2, 3000, 64)
+    assert _fields(estimate(ms, *args)) == _reference_estimate(ms, *args)
+
+
+def test_estimate_matches_pinned_results(shear_pair):
+    # the node-by-node sweep gave these, to the last bit
+    b = estimate(shear_pair, target_gap=0.02, budget=500000, max_depth=40)
+    assert _fields(b) == (1.618033988749895, 1.618033988749895, (1, 2), 2, "op", True, 6)
+    b = estimate(pair_family(0.25), target_gap=1e-3, budget=100000, max_depth=40)
+    assert _fields(b) == (1.1059248167418656, 1.1194000644813715,
+                          (1, 1, 1, 1, 1, 1, 1, 1, 2), 40, "op", False, 57494)
+    b = estimate(STALL_PAIR, target_gap=1e-2, budget=20000)
+    assert _fields(b) == (1.0, 1.6777353179565588, (1,), 14, "op", False, 15530)
+
+
+@pytest.mark.parametrize("ms,kwargs,reason", [
+    (MatrixSet((np.zeros((2, 2)),)), {}, "frontier_empty"),
+    # lower = upper = 3 yet the emptied frontier is tested first
+    (MatrixSet((np.diag([3.0, 1.0]), np.diag([1.0, 3.0]))), {"target_gap": 1e-12},
+     "frontier_empty"),
+    (pair_family(0.25), {"target_gap": 0.05}, "gap"),
+    (STALL_PAIR, {"max_depth": 3}, "max_depth"),
+    (STALL_PAIR, {"budget": 2000}, "budget"),
+], ids=["zero", "diagonal", "gap", "max_depth", "budget"])
+def test_estimate_stop_reason(ms, kwargs, reason):
+    b = estimate(ms, **kwargs)
+    assert b.stop_reason == reason
+    assert b.converged == (reason in ("frontier_empty", "gap"))
+
+
+def test_estimate_argument_checks(shear_pair):
+    for kwargs in ({"target_gap": 0.0}, {"target_gap": math.nan}, {"max_depth": 0}):
+        with pytest.raises(InputError):
+            estimate(shear_pair, **kwargs)
 
 
 def test_zero_set():

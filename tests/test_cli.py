@@ -60,6 +60,7 @@ def test_estimate_report_shape(diag_file):
     assert jsr["lower"] == 3.0
     assert jsr["upper"] == pytest.approx(3.0, abs=1e-12)
     assert jsr["lower_witness"] == [1]
+    assert jsr["stop_reason"] == "frontier_empty"
     assert doc["timings"]["total_s"] >= 0.0
     # every tunable is echoed back in the config block
     for key in ("gap", "budget", "max_depth"):
