@@ -315,18 +315,8 @@ def product_boundedness(
     s = []
     for k in range(1, depth + 1):
         if k > 1:
-            products = np.concatenate([a @ products for a in stack])
-            logs = np.tile(logs, len(ms))
-            m = np.max(np.abs(products), axis=(1, 2))
-            nz = m > 0.0
-            e = np.zeros_like(m)
-            e[nz] = np.ceil(np.log2(m[nz]))
-            products[nz] *= 2.0 ** -e[nz, None, None]
-            logs = logs + e * math.log(2.0)
-        norms = np.linalg.norm(products, ord=2, axis=(1, 2))
-        with np.errstate(divide="ignore"):
-            scores = np.where(norms > 0, np.log(np.maximum(norms, 1e-300)), -np.inf)
-        scores = scores + logs - k * logrho
+            products, logs = jsr_bounds._next_level(stack, products, logs)
+        scores = jsr_bounds._log_norms(products, logs, "op") - k * logrho
         s.append(float(np.max(scores)))
         if scores.shape[0] > beam:
             keep = np.argsort(-scores)[:beam]

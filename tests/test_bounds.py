@@ -74,9 +74,14 @@ def test_upper_bound_max_norm_dominates():
         assert op <= mx * (1 + 1e-9)
 
 
-def test_upper_bound_rejects_unknown_norm(diag_set):
+def test_upper_bound_rejects_unknown_norm(diag_set, shear_pair):
     with pytest.raises(InputError):
         upper_bound_at_depth(diag_set, 2, norm="nuclear")
+    # 2**20 products are within the cap; none may be built before raising
+    start = time.perf_counter()
+    with pytest.raises(InputError):
+        upper_bound_at_depth(shear_pair, 20, norm="nuclear")
+    assert time.perf_counter() - start < 0.1
 
 
 def test_doubling_depth_never_raises_upper_bound():
@@ -188,15 +193,19 @@ REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("seed,dim,size,scale,complex_entries,triangular", REFERENCE_CASES)
-def test_estimate_matches_node_by_node_reference(seed, dim, size, scale,
-                                                 complex_entries, triangular):
+def _reference_set(seed, dim, size, scale, complex_entries, triangular):
     rng = np.random.default_rng(seed)
     ms = random_matrix_set(rng, dim, size, complex_entries)
     mats = [scale * a for a in ms.matrices]
     if triangular:
         mats[0] = np.triu(mats[0], 1)
-    ms = MatrixSet(tuple(mats))
+    return MatrixSet(tuple(mats))
+
+
+@pytest.mark.parametrize("seed,dim,size,scale,complex_entries,triangular", REFERENCE_CASES)
+def test_estimate_matches_node_by_node_reference(seed, dim, size, scale,
+                                                 complex_entries, triangular):
+    ms = _reference_set(seed, dim, size, scale, complex_entries, triangular)
     args = (1e-3 * scale, 4000, 64)
     assert _fields(estimate(ms, *args)) == _reference_estimate(ms, *args)
 
@@ -224,6 +233,68 @@ def test_estimate_matches_pinned_results(shear_pair):
                           (1, 1, 1, 1, 1, 1, 1, 1, 2), 40, "op", False, 57494)
     b = estimate(STALL_PAIR, target_gap=1e-2, budget=20000)
     assert _fields(b) == (1.0, 1.6777353179565588, (1,), 14, "op", False, 15530)
+
+
+def _reference_upper_bound(ms, depth, norm):
+    """The full enumeration of all ell**depth products that
+    ``upper_bound_at_depth`` prunes."""
+    stack = ms.stack()
+    products = stack.copy()
+    logs = np.zeros(len(ms))
+    for _ in range(depth - 1):
+        products = np.concatenate([a @ products for a in stack])
+        logs = np.tile(logs, len(ms))
+        m = np.max(np.abs(products), axis=(1, 2))
+        nz = m > 0.0
+        e = np.zeros_like(m)
+        e[nz] = np.ceil(np.log2(m[nz]))
+        products[nz] *= 2.0 ** -e[nz, None, None]
+        logs += e * math.log(2.0)
+    if norm == "op":
+        norms = np.linalg.norm(products, ord=2, axis=(1, 2))
+    else:
+        norms = ms.dim * np.max(np.abs(products), axis=(1, 2))
+    with np.errstate(divide="ignore"):
+        lognorms = np.where(norms > 0.0, np.log(np.maximum(norms, 1e-300)), -np.inf)
+    best = np.max(lognorms + logs)
+    return 0.0 if best == -math.inf else float(math.exp(best / depth))
+
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+_TURN = _rotation(0.3)
+UPPER_SETS = [_reference_set(*case) for case in REFERENCE_CASES] + [
+    _reference_set(5, 3, 1, 1.0, False, False),
+    MatrixSet((np.zeros((2, 2)), np.zeros((2, 2)))),
+    # turned by a rotation, so their ties are broken by rounding alone
+    MatrixSet(tuple(_TURN @ a @ _TURN.T for a in (np.eye(2, k=1), np.eye(2, k=-1)))),
+    MatrixSet(tuple(1.2345 * _TURN @ _rotation(t) @ _TURN.T
+                    for t in (2 * math.pi / 7, 1.0, 2.5))),
+    MatrixSet((np.diag([3.0, 1.0]), np.diag([1.0, 3.0]))),  # exact ties
+    STALL_PAIR,
+]
+UPPER_IDS = [f"random{i}" for i in range(len(REFERENCE_CASES))] + [
+    "single", "zero", "nilpotent", "rotations", "diagonal", "stall"]
+
+
+@pytest.mark.parametrize("norm", ["op", "max"])
+@pytest.mark.parametrize("ms", UPPER_SETS, ids=UPPER_IDS)
+def test_upper_bound_matches_full_enumeration(ms, norm):
+    deepest = 16 if len(ms) <= 2 else 10
+    for depth in (1, 2, 7, deepest):
+        assert upper_bound_at_depth(ms, depth, norm) == _reference_upper_bound(ms, depth, norm)
+
+
+def test_upper_bound_matches_pinned_results(shear_pair):
+    # the full enumeration gave these, to the last bit
+    assert upper_bound_at_depth(shear_pair, 16) == 1.618033988749895
+    assert upper_bound_at_depth(shear_pair, 16, "max") == 1.6558497696681374
+    assert upper_bound_at_depth(pair_family(0.25), 16) == 1.1980153504002786
+    assert upper_bound_at_depth(pair_family(0.25), 16, "max") == 1.2499403041953259
+    assert upper_bound_at_depth(STALL_PAIR, 16) == 1.5858332138538516
+    assert upper_bound_at_depth(STALL_PAIR, 16, "max") == 1.6560440080994447
 
 
 @pytest.mark.parametrize("ms,kwargs,reason", [
