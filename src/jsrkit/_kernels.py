@@ -6,7 +6,9 @@ an ahead-of-time jitted version.  The flag only selects the backend;
 both produce identical results.
 
 * ``polygon_gauge`` -- Minkowski gauge of a convex polygon with vertices
-  on uniformly spaced rays, evaluated at a batch of points.
+  on uniformly spaced rays, evaluated at a batch of points.  Its numpy
+  form is ``polygon_sectors`` followed by ``polygon_gauge_at``; callers
+  that reuse the points across polygons call the two directly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ import os
 
 import numpy as np
 
-__all__ = ["USE_NUMBA", "polygon_gauge", "backend_name"]
+__all__ = [
+    "USE_NUMBA",
+    "polygon_gauge",
+    "polygon_sectors",
+    "polygon_gauge_at",
+    "backend_name",
+]
 
 _disabled = os.environ.get("JSRKIT_NO_NUMBA", "") not in ("", "0")
 try:
@@ -41,17 +49,31 @@ def backend_name() -> str:
     return "numba" if USE_NUMBA else "numpy"
 
 
-def _polygon_gauge_py(qx, qy, vx, vy):
-    """Gauge of the polygon with vertex j on the ray at angle 2*pi*j/m."""
-    m = vx.shape[0]
+def polygon_sectors(qx, qy, m):
+    """Sector (j, j+1 mod m) of each point among m uniformly spaced rays.
+
+    Depends only on the points' angles, so a caller that evaluates the
+    gauge of many polygons at the same points computes it once.
+    """
     two_pi = 2.0 * math.pi
     theta = np.mod(np.arctan2(qy, qx), two_pi)
     j = np.minimum((theta * m / two_pi).astype(np.int64), m - 1)
-    j1 = (j + 1) % m
-    det = vx[j] * vy[j1] - vy[j] * vx[j1]
-    a = (qx * vy[j1] - qy * vx[j1]) / det
-    b = (vx[j] * qy - vy[j] * qx) / det
+    return j, (j + 1) % m
+
+
+def polygon_gauge_at(qx, qy, j, j1, vx, vy):
+    """Gauge of the polygon (vx, vy) at points lying in sectors (j, j1)."""
+    xj, yj, xj1, yj1 = vx[j], vy[j], vx[j1], vy[j1]
+    det = xj * yj1 - yj * xj1
+    a = (qx * yj1 - qy * xj1) / det
+    b = (xj * qy - yj * qx) / det
     return a + b
+
+
+def _polygon_gauge_py(qx, qy, vx, vy):
+    """Gauge of the polygon with vertex j on the ray at angle 2*pi*j/m."""
+    j, j1 = polygon_sectors(qx, qy, vx.shape[0])
+    return polygon_gauge_at(qx, qy, j, j1, vx, vy)
 
 
 @njit(cache=True)

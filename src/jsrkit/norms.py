@@ -11,7 +11,7 @@ norm.  Five kinds are supported:
   norm values h_j on uniformly spaced unit directions.
 
 The Barabanov construction iterates nu_{k+1}(v) = max_i nu_k(A_i v)/rho_k
-on an angular grid (d = 2) or by symmetric vertex propagation (d <= 4).
+on an angular grid (d = 2).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
 
 from . import _kernels
 from .cocycle import prefix_values
@@ -133,6 +131,8 @@ class NormModel:
         return float(self.vector_many(np.asarray(v)[None, :])[0])
 
     def _polytope_gauge(self, p: np.ndarray) -> float:
+        from scipy.optimize import linprog
+
         if np.max(np.abs(p)) == 0.0:
             return 0.0
         m = self.vertices.shape[0]
@@ -258,6 +258,35 @@ def residual_on(norm: NormModel, ms: MatrixSet, rho_hat: float, points: np.ndarr
     return float(np.max(np.abs(best[ok] / (rho_hat * base[ok]) - 1.0)))
 
 
+# A run whose rho_k repeats with period 2 or 3 over this many iterations,
+# to this relative tolerance, while the grid values still move, is in a
+# limit cycle and will not converge.
+_CYCLE_WINDOW = 30
+_CYCLE_RTOL = 1e-12
+
+
+def _grid_images(ms: MatrixSet, m: int):
+    """The m grid directions u_j and the images A_i u_j with their sectors.
+
+    The images do not depend on the grid values, so their angles and
+    polygon sectors are computed once per call.  All ell images are
+    stacked into one (ell*m) batch, image of A_1 first.
+    """
+    theta = 2.0 * math.pi * np.arange(m) / m
+    grid = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    q = np.concatenate([grid @ np.real(a).T for a in ms.matrices])
+    qx = np.ascontiguousarray(q[:, 0])
+    qy = np.ascontiguousarray(q[:, 1])
+    j, j1 = _kernels.polygon_sectors(qx, qy, m)
+    return grid, (qx, qy, j, j1)
+
+
+def _max_image_gauge(grid: np.ndarray, images, h: np.ndarray) -> np.ndarray:
+    """max_i nu(A_i u_j) for every j, nu the grid norm with values h."""
+    g = _kernels.polygon_gauge_at(*images, grid[:, 0] / h, grid[:, 1] / h)
+    return g.reshape(-1, h.shape[0]).max(axis=0)
+
+
 def barabanov_iterate(
     ms: MatrixSet,
     resolution: int = 2048,
@@ -273,6 +302,15 @@ def barabanov_iterate(
     h to 1; the applied normaliser rho_k converges to the growth rate.
     Convergence requires |rho_k - rho_{k-1}| <= tol and a sup-change of
     the grid values <= tol for three consecutive iterations.
+
+    The angles and polygon sectors of the images A_i u_j are computed once;
+    each iteration only re-evaluates the gauge formula at them.
+
+    Raises ``NumericalError`` at the cap, and as soon as the iteration is
+    in a limit cycle: rho_k repeats with period 2 or 3 (relative 1e-12)
+    over the last 30 iterations while the sup-change is still above
+    ``tol``.  The message gives the period and the iteration.  A constant
+    rho_k while h still moves is slow convergence and is not a cycle.
     """
     if ms.dim != 2:
         raise InputError("the angular-grid construction needs dimension 2")
@@ -289,34 +327,41 @@ def barabanov_iterate(
             )
 
     m = resolution
-    theta = 2.0 * math.pi * np.arange(m) / m
-    grid = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    reals = [np.real(a) for a in ms.matrices]
-    images = [grid @ a.T for a in reals]
+    grid, images = _grid_images(ms, m)
 
     h = np.ones(m)
-    rho_prev = math.nan
     streak = 0
     rho = math.nan
+    recent = []  # the last three rho_k
+    runs = [0, 0, 0, 0]  # runs[p]: consecutive k with rho_k == rho_{k-p}
     for it in range(1, max_iters + 1):
-        vx = grid[:, 0] / h
-        vy = grid[:, 1] / h
-        g = np.full(m, -np.inf)
-        for q in images:
-            g = np.maximum(g, _kernels.polygon_gauge(q[:, 0], q[:, 1], vx, vy))
-        rho = float(np.max(g))
+        g = _max_image_gauge(grid, images, h)
+        rho = float(g.max())
         if rho <= 0.0:
             raise NumericalError("norm iteration collapsed to zero", operand=h)
         h_new = g / rho
-        change = float(np.max(np.abs(h_new - h)))
-        if not math.isnan(rho_prev) and abs(rho - rho_prev) <= tol and change <= tol:
+        change = float(np.abs(h_new - h).max())
+        if recent and abs(rho - recent[-1]) <= tol and change <= tol:
             streak += 1
         else:
             streak = 0
+        for p in (1, 2, 3):
+            same = p <= len(recent) and abs(rho - recent[-p]) <= _CYCLE_RTOL * rho
+            runs[p] = runs[p] + 1 if same else 0
+        recent = recent[-2:] + [rho]
         h = h_new
-        rho_prev = rho
         if streak >= 3:
             break
+        if change > tol and runs[1] < _CYCLE_WINDOW:
+            for p in (2, 3):
+                if runs[p] >= _CYCLE_WINDOW:
+                    raise NumericalError(
+                        f"Barabanov iteration is in a limit cycle of period {p} "
+                        f"at iteration {it}: rho_k repeated to {_CYCLE_RTOL:g} "
+                        f"over {_CYCLE_WINDOW} iterations while the sup-change "
+                        f"{change:.3g} stayed above tol {tol:g}",
+                        operand=h,
+                    )
     else:
         raise NumericalError(
             f"Barabanov iteration did not converge in {max_iters} iterations",
@@ -368,18 +413,11 @@ def extremal_norm_2d(
     if resolution % 8 != 0 or resolution < 8:
         raise InputError("resolution must be a positive multiple of 8")
     m = resolution
-    theta = 2.0 * math.pi * np.arange(m) / m
-    grid = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    images = [grid @ np.real(a).T for a in ms.matrices]
+    grid, images = _grid_images(ms, m)
     s = np.ones(m)
     h = np.ones(m)
     for _ in range(horizon):
-        vx = grid[:, 0] / s
-        vy = grid[:, 1] / s
-        g = np.full(m, -np.inf)
-        for q in images:
-            g = np.maximum(g, _kernels.polygon_gauge(q[:, 0], q[:, 1], vx, vy))
-        s = g / rho
+        s = _max_image_gauge(grid, images, s) / rho
         if np.max(s) > 1e6:
             raise NumericalError(
                 "running-max norm diverges; rho is far below the growth rate",
@@ -387,64 +425,6 @@ def extremal_norm_2d(
             )
         h = np.maximum(h, s)
     return NormModel.angular_grid(h / np.max(h))
-
-
-def barabanov_polytope(
-    ms: MatrixSet,
-    max_iters: int = 200,
-    tol: float = 1e-6,
-    vertex_cap: int = 10**4,
-) -> BarabanovCertificate:
-    """Best-effort symmetric vertex-propagation construction for d <= 4.
-
-    Propagates a symmetric vertex cloud through the set, renormalising so
-    the maximal gauge of the images is 1 and pruning points interior to
-    the convex hull.  Coarser than the angular grid; intended for real
-    sets in dimension 3 or 4.
-    """
-    d = ms.dim
-    if not 2 <= d <= 4:
-        raise InputError("vertex propagation supports dimensions 2..4")
-    if not ms.is_real():
-        raise InputError("the Barabanov construction needs real matrices")
-    reals = [np.real(a) for a in ms.matrices]
-    verts = np.concatenate([np.eye(d), -np.eye(d)])
-    rho_prev = math.nan
-    streak = 0
-    rho = math.nan
-    for it in range(1, max_iters + 1):
-        norm = NormModel.polytope(verts)
-        images = np.concatenate([verts @ a.T for a in reals])
-        gauges = norm.vector_many(images)
-        rho = float(np.max(gauges))
-        if rho <= 0.0:
-            raise NumericalError("vertex propagation collapsed", operand=verts)
-        cloud = np.concatenate([verts, images / rho])
-        try:
-            hull = ConvexHull(cloud, qhull_options="QJ")
-            cloud = cloud[sorted(set(hull.vertices))]
-        except Exception:
-            pass
-        if cloud.shape[0] > vertex_cap:
-            keep = np.argsort(-np.linalg.norm(cloud, axis=1))[:vertex_cap]
-            cloud = cloud[keep]
-        cloud = np.concatenate([cloud, -cloud])
-        if not math.isnan(rho_prev) and abs(rho - rho_prev) <= tol:
-            streak += 1
-        else:
-            streak = 0
-        verts = cloud
-        rho_prev = rho
-        if streak >= 3:
-            break
-    else:
-        raise NumericalError(
-            f"vertex propagation did not converge in {max_iters} iterations",
-            operand=verts,
-        )
-    norm = NormModel.polytope(verts)
-    residual = residual_on(norm, ms, rho, verts)
-    return BarabanovCertificate(norm=norm, rho_hat=rho, residual=residual, iterations=it)
 
 
 def classify_extremality(ms: MatrixSet, norm: NormModel, rho_hat: float, w, eps=1e-3):

@@ -209,6 +209,31 @@ def test_unconverged_iteration_is_exit_4(tmp_path):
             "--max-iters", "2000", expect=4)
 
 
+def test_cycling_iteration_names_its_period(tmp_path):
+    # the pair above: the exit-4 report says the iteration cycles, and how
+    import numpy as np
+
+    from jsrkit import MatrixSet
+    from jsrkit.bounds import estimate
+
+    rng = np.random.default_rng(20250823)
+    for _ in range(2):
+        mats = [rng.normal(size=(2, 2)) for _ in range(2)]
+    b = estimate(MatrixSet(tuple(mats)), target_gap=1e-3, budget=200000, max_depth=40)
+    doc = {
+        "dim": 2,
+        "matrices": [
+            {"name": f"A{i + 1}", "re": (m / b.upper).tolist()}
+            for i, m in enumerate(mats)
+        ],
+    }
+    p = tmp_path / "cycling.json"
+    p.write_text(json.dumps(doc))
+    out = run_cli("barabanov", "--input", str(p), "--resolution", "512",
+                  "--max-iters", "20000", expect=4)
+    assert re.search(r"limit cycle of period 3 at iteration \d+", out.stderr)
+
+
 def test_config_echo_lists_every_tunable(diag_file):
     # whatever can change the result must appear in the echoed config
     doc = run_json("mather", "--input", diag_file, "--depth", "6")

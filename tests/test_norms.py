@@ -1,3 +1,9 @@
+import math
+import re
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -5,12 +11,15 @@ from jsrkit import (
     InputError,
     MatrixSet,
     NormModel,
+    NumericalError,
     barabanov_iterate,
     check_extremal,
     classify_extremality,
     extremal_norm_2d,
     kozyakin_extremal_witness,
 )
+from jsrkit.families import pair_family, rotation
+from jsrkit.norms import residual_on
 
 from conftest import GOLDEN, random_matrix_set
 
@@ -120,6 +129,147 @@ def test_barabanov_norm_balance_property(shear_pair):
 def test_barabanov_rejects_reducible_sets(diag_set):
     with pytest.raises(InputError):
         barabanov_iterate(diag_set, resolution=64)
+
+
+# the certify benchmark's capped pair: the plain iteration cycles on it
+CAPPED_PAIR = (
+    rotation(0.7) @ np.diag([1.0, 0.4]),
+    rotation(2.5) @ np.diag([1.0, 0.6]),
+)
+
+
+def _cycle_report(ms, **kwargs):
+    with pytest.raises(NumericalError) as exc:
+        barabanov_iterate(ms, **kwargs)
+    msg = str(exc.value)
+    period = int(re.search(r"period (\d+)", msg).group(1))
+    iteration = int(re.search(r"at iteration (\d+)", msg).group(1))
+    return period, iteration
+
+
+def test_barabanov_cycle_on_capped_pair_fails_fast():
+    period, iteration = _cycle_report(
+        MatrixSet(CAPPED_PAIR), resolution=512, tol=1e-8, max_iters=20000
+    )
+    assert period == 2
+    assert iteration < 100
+
+
+def test_barabanov_cycle_on_sweep_pair_fails_fast():
+    # the pair of the CLI's exit-4 test (marginal-stability sweep, case 1)
+    from jsrkit.bounds import estimate
+
+    rng = np.random.default_rng(20250823)
+    for _ in range(2):
+        mats = [rng.normal(size=(2, 2)) for _ in range(2)]
+    ms = MatrixSet(tuple(mats))
+    ms = ms.scaled(1.0 / estimate(ms, target_gap=1e-3, budget=200000, max_depth=40).upper)
+    started = time.perf_counter()
+    period, _ = _cycle_report(ms, resolution=512, max_iters=20000)
+    assert time.perf_counter() - started < 0.5
+    assert period == 3
+
+
+def test_barabanov_constant_rate_is_not_a_cycle():
+    # rho_k settles to 1e-12 long before h does at this tol: slow, not cyclic
+    cert = barabanov_iterate(pair_family(0.1), resolution=512, tol=1e-13)
+    assert cert.iterations > 100
+
+
+def _reference_gauge(qx, qy, vx, vy):
+    # the polygon gauge as one call per image, sectors recomputed each time
+    m = vx.shape[0]
+    two_pi = 2.0 * math.pi
+    theta = np.mod(np.arctan2(qy, qx), two_pi)
+    j = np.minimum((theta * m / two_pi).astype(np.int64), m - 1)
+    j1 = (j + 1) % m
+    det = vx[j] * vy[j1] - vy[j] * vx[j1]
+    a = (qx * vy[j1] - qy * vx[j1]) / det
+    b = (vx[j] * qy - vy[j] * qx) / det
+    return a + b
+
+
+def _reference_step(ms, m, s):
+    theta = 2.0 * math.pi * np.arange(m) / m
+    grid = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    vx = np.ascontiguousarray(grid[:, 0] / s)
+    vy = np.ascontiguousarray(grid[:, 1] / s)
+    g = np.full(m, -np.inf)
+    for a in ms.matrices:
+        q = grid @ np.real(a).T
+        qx, qy = np.ascontiguousarray(q[:, 0]), np.ascontiguousarray(q[:, 1])
+        g = np.maximum(g, _reference_gauge(qx, qy, vx, vy))
+    return grid, g
+
+
+def _reference_barabanov(ms, m, tol, max_iters, seed):
+    h = np.ones(m)
+    rho_prev = math.nan
+    streak = 0
+    for it in range(1, max_iters + 1):
+        grid, g = _reference_step(ms, m, h)
+        rho = float(np.max(g))
+        h_new = g / rho
+        change = float(np.max(np.abs(h_new - h)))
+        if not math.isnan(rho_prev) and abs(rho - rho_prev) <= tol and change <= tol:
+            streak += 1
+        else:
+            streak = 0
+        h = h_new
+        rho_prev = rho
+        if streak >= 3:
+            break
+    else:
+        raise AssertionError("reference iteration did not converge")
+    norm = NormModel.angular_grid(h)
+    dirs = np.random.default_rng(seed).normal(size=(4096, 2))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    residual = max(residual_on(norm, ms, rho, grid), residual_on(norm, ms, rho, dirs))
+    return h, rho, residual, it
+
+
+def _reference_extremal(ms, rho, m, horizon):
+    s = np.ones(m)
+    h = np.ones(m)
+    for _ in range(horizon):
+        s = _reference_step(ms, m, s)[1] / rho
+        h = np.maximum(h, s)
+    return h / np.max(h)
+
+
+_SHEAR = (np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]]))
+_GRID_CASES = {
+    # name: (matrices, resolution, Barabanov tol)
+    "shear-64": (_SHEAR, 64, 1e-10),
+    "shear-2048": (_SHEAR, 2048, 1e-10),
+    "shear-1e6": (tuple(1e6 * a for a in _SHEAR), 64, 1e-4),
+    "shear-1e-6": (tuple(1e-6 * a for a in _SHEAR), 2048, 1e-8),
+    "family-0.25": (pair_family(0.25).matrices, 64, 1e-10),
+    "three": ((*pair_family(0.25).matrices, 0.5 * rotation(2.0)), 64, 1e-10),
+    "three-1e6": ((*(1e6 * a for a in pair_family(0.25).matrices), 5e5 * rotation(2.0)), 64, 1e-2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_CASES))
+def test_grid_norms_match_per_image_reference(name):
+    mats, m, tol = _GRID_CASES[name]
+    ms = MatrixSet(tuple(np.array(np.real(a), dtype=np.float64) for a in mats))
+    cert = barabanov_iterate(ms, resolution=m, tol=tol, max_iters=5000, seed=3)
+    h, rho, residual, it = _reference_barabanov(ms, m, tol, 5000, seed=3)
+    assert cert.norm.values.tobytes() == h.tobytes()
+    assert cert.rho_hat == rho
+    assert cert.residual == residual
+    assert cert.iterations == it
+    lower = 0.999 * rho
+    values = extremal_norm_2d(ms, lower, resolution=m, horizon=60).values
+    assert values.tobytes() == _reference_extremal(ms, lower, m, 60).tobytes()
+
+
+def test_import_leaves_scipy_unloaded():
+    probe = "import sys, jsrkit; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_extremal_norm_construction_certifies_rate(shear_pair):
