@@ -29,9 +29,11 @@ from .norms import (
     kozyakin_extremal_witness,
 )
 from .mather import (
+    CertifiedApprox,
     MatherApprox,
     MinimalSetDiagnostic,
     build_mather_approx,
+    certified_approx,
     find_extremal_prefix,
     mean_distance_to_core,
     minimal_set_diagnostic,

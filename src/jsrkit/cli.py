@@ -4,8 +4,9 @@ Commands: estimate, bounds, triangularise, barabanov, mather, stability,
 one-ratio, beta.  Structured output is JSON (floats serialised with full
 round-trip precision), curves are CSV, graphs are DOT.  Exit codes:
 0 success, 2 malformed input, 3 resource cap exceeded, 4 numerical failure.
-Configuration is taken from flags only; every tolerance, seed and depth
-consumed is echoed back in the report.
+Commands parse flags, call the library (``mather``: ``estimate``, then
+``mather.certified_approx``) and print.  Configuration is taken from flags
+only; every tolerance, seed and depth consumed is echoed back in the report.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ from . import bounds as jsr_bounds
 from . import mather as mather_mod
 from . import norms as norms_mod
 from . import oneratio, reducibility, stability, subadditive
-from .errors import (
-    InconsistencyError,
-    InputError,
-    NumericalError,
-    ResourceCapError,
-)
+from .errors import InputError, NumericalError, ResourceCapError
 from .families import FAMILIES
 from .matrices import MatrixSet
 
@@ -238,97 +234,14 @@ def cmd_barabanov(args) -> None:
     emit("barabanov", sha, config, results, started, args)
 
 
-def certified_norm_for(
-    ms: MatrixSet,
-    est,
-    tol: float,
-    seed: int,
-    resolution: int = 512,
-    horizon: int = 200,
-):
-    """Norm model plus certified rate usable for outer approximation, or None.
-
-    Each candidate norm nu certifies the rate rho_c = max_i nu_ind(A_i),
-    which always dominates the joint spectral radius.  A candidate is
-    accepted only when rho_c <= est.lower * (1 + tol): the certified rate
-    then sits close enough to the true radius that survivor sets at
-    tolerance tol stay nonempty at every depth.
-    """
-    if est.lower <= 0.0:
-        return None
-    budget = est.lower * (1.0 + tol)
-
-    def rate(norm) -> float:
-        return max(norm.induced(a) for a in ms.matrices)
-
-    for cand in reducibility._certificate_candidates(ms):
-        rho_c = rate(cand)
-        if rho_c <= budget:
-            return cand, rho_c
-    if ms.dim == 2 and ms.is_real():
-        try:
-            cert = norms_mod.barabanov_iterate(
-                ms, resolution=512, tol=1e-8, max_iters=20000, seed=seed
-            )
-        except (InputError, NumericalError):
-            cert = None
-        if cert is not None:
-            rho_c = rate(cert.norm)
-            if rho_c <= budget:
-                return cert.norm, rho_c
-        try:
-            norm = norms_mod.extremal_norm_2d(
-                ms, est.lower, resolution=resolution, horizon=horizon
-            )
-        except (InputError, NumericalError):
-            return None
-        rho_c = rate(norm)
-        if rho_c <= budget:
-            return norm, rho_c
-    return None
-
-
 def cmd_mather(args) -> None:
     started = time.perf_counter()
     ms, sha, _ = resolve_matrix_set(args)
     est = jsr_bounds.estimate(ms, target_gap=args.gap, max_depth=24)
-    triangularised = False
-    found = certified_norm_for(ms, est, args.tol, args.seed)
-    if found is None:
-        verdict = reducibility.product_boundedness(ms)
-        sub = None
-        try:
-            sub = reducibility.find_common_invariant_subspace(ms)
-        except NumericalError:
-            sub = None
-        if sub is not None and verdict.status != "Bounded":
-            tri = reducibility.triangularise(ms, seed=args.seed)
-            ms = tri.upper_blocks
-            est = jsr_bounds.estimate(ms, target_gap=args.gap, max_depth=24)
-            triangularised = True
-            found = certified_norm_for(ms, est, args.tol, args.seed)
-    if found is None:
-        raise NumericalError(
-            "no extremal norm could be certified; Barabanov iteration failed "
-            "or does not apply"
-        )
-    norm, rho_hat = found
-    try:
-        approx = mather_mod.build_mather_approx(
-            ms, norm, rho_hat, max_depth=args.depth, tol=args.tol
-        )
-    except InconsistencyError:
-        # Survivor sets emptied out: the certified rate sits too far above
-        # the true growth rate at this depth.  Retry once with a finer norm.
-        found = certified_norm_for(
-            ms, est, args.tol, args.seed, resolution=2048, horizon=600
-        )
-        if found is None:
-            raise
-        norm, rho_hat = found
-        approx = mather_mod.build_mather_approx(
-            ms, norm, rho_hat, max_depth=args.depth, tol=args.tol
-        )
+    found = mather_mod.certified_approx(
+        ms, est, args.depth, args.tol, args.seed, args.gap
+    )
+    approx = found.approx
     diag = mather_mod.minimal_set_diagnostic(approx)
     recur = mather_mod.recurrent_ratio_check(approx)
     if args.dot:
@@ -341,9 +254,11 @@ def cmd_mather(args) -> None:
         "seed": args.seed,
     }
     results = {
-        "rho_hat": rho_hat,
-        "norm": norm.to_json(),
-        "triangularised": triangularised,
+        "rho_hat": approx.rho_hat,
+        "norm": approx.norm.to_json(),
+        "triangularised": found.triangularised,
+        "certified_by": found.certified_by,
+        "retried": found.retried,
         "survivor_counts": {
             str(n): len(approx.survivors[n]) for n in approx.depths
         },
@@ -357,7 +272,7 @@ def cmd_mather(args) -> None:
             "pass": recur["pass"],
             "cycles_examined": recur["cycles_examined"],
         },
-        "jsr": bounds_payload(est),
+        "jsr": bounds_payload(found.bounds),
     }
     emit("mather", sha, config, results, started, args)
 
@@ -391,7 +306,11 @@ def cmd_one_ratio(args) -> None:
             )
         alphas = parse_grid(args.grid)
         curve = oneratio.ratio_curve(
-            FAMILIES[args.family], alphas, args.symbol, max_period=args.max_period
+            FAMILIES[args.family],
+            alphas,
+            args.symbol,
+            max_period=args.max_period,
+            slack=args.slack,
         )
         csv_text = oneratio.ratio_curve_csv(curve)
         if args.csv:

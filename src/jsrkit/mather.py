@@ -7,7 +7,7 @@ exactly by construction: every prefix of a survivor is a survivor, and the
 one-step shift of a survivor is a survivor one level down.  The depth-n
 survivors over-approximate the depth-n language of the maximising set
 whenever the supplied norm is extremal and rho_hat is at least the true
-growth rate.
+growth rate.  ``certified_approx`` finds such a norm and rate first.
 """
 
 from __future__ import annotations
@@ -17,15 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import reducibility
+from .bounds import JsrBounds, estimate
 from .cocycle import _rescale, evaluate, prefix_values
-from .errors import InconsistencyError, InputError
+from .errors import InconsistencyError, InputError, NumericalError
 from .matrices import MatrixSet, spectral_radius
-from .norms import NormModel, check_extremal
+from .norms import NormModel, candidate_norms, check_extremal
+from .norms import barabanov_iterate, extremal_norm_2d
 from .words import WordGraph, strongly_connected_components
 
 __all__ = [
     "MatherApprox",
     "build_mather_approx",
+    "CertifiedApprox",
+    "certified_approx",
     "recurrent_ratio_check",
     "mean_distance_to_core",
     "MinimalSetDiagnostic",
@@ -143,6 +148,124 @@ def build_mather_approx(
         min_ratio=float(math.exp(min_ratio_log)),
         graph=graph,
     )
+
+
+# (resolution, horizon) of the running-max norm, and of its one finer
+# rebuild after the survivors of the first build empty.
+_EXTREMAL_GRID = (512, 200)
+_EXTREMAL_GRID_FINE = (2048, 600)
+
+
+@dataclass(frozen=True)
+class CertifiedApprox:
+    """Survivor sets under a certified norm, with the path that built them.
+
+    ``certified_by`` is a candidate norm kind, ``barabanov`` or
+    ``extremal_norm_2d``.  ``retried`` says the finer running-max norm was
+    built after the first build emptied.  When ``triangularised``,
+    ``approx`` and ``bounds`` refer to the upper diagonal block.
+    """
+
+    approx: MatherApprox
+    bounds: JsrBounds
+    certified_by: str
+    triangularised: bool
+    retried: bool
+
+
+def _rate(ms: MatrixSet, norm: NormModel) -> float:
+    return max(norm.induced(a) for a in ms.matrices)
+
+
+def _running_max_norm(ms, est, budget, grid):
+    try:
+        norm = extremal_norm_2d(ms, est.lower, resolution=grid[0], horizon=grid[1])
+    except (InputError, NumericalError):
+        return None
+    rho_c = _rate(ms, norm)
+    return (norm, rho_c, "extremal_norm_2d") if rho_c <= budget else None
+
+
+def _certified_norm(ms, est, budget, seed):
+    """(norm, rate, source) of the first norm whose rate max_i nu_ind(A_i)
+    is within budget: candidates, then Barabanov and the running-max norm
+    for real 2x2 sets.  None if no norm passes."""
+    for cand in candidate_norms(ms):
+        rho_c = _rate(ms, cand)
+        if rho_c <= budget:
+            return cand, rho_c, cand.kind
+    if not (ms.dim == 2 and ms.is_real()):
+        return None
+    try:
+        cert = barabanov_iterate(
+            ms, resolution=512, tol=1e-8, max_iters=20000, seed=seed
+        )
+        rho_c = _rate(ms, cert.norm)
+        if rho_c <= budget:
+            return cert.norm, rho_c, "barabanov"
+    except (InputError, NumericalError):
+        pass
+    return _running_max_norm(ms, est, budget, _EXTREMAL_GRID)
+
+
+def _approx_under_certified_norm(ms, est, depth, tol, seed):
+    """(approx, source, retried), or None when no norm certifies a rate
+    within est.lower * (1 + tol).  When the survivors empty, only a
+    running-max norm is rebuilt: any other norm would come back the same."""
+    if est.lower <= 0.0:
+        return None
+    budget = est.lower * (1.0 + tol)
+    found = _certified_norm(ms, est, budget, seed)
+    if found is None:
+        return None
+    norm, rho_c, source = found
+    try:
+        approx = build_mather_approx(ms, norm, rho_c, max_depth=depth, tol=tol)
+        return approx, source, False
+    except InconsistencyError:
+        if source != "extremal_norm_2d":
+            raise
+        finer = _running_max_norm(ms, est, budget, _EXTREMAL_GRID_FINE)
+        if finer is None:
+            raise
+    approx = build_mather_approx(ms, finer[0], finer[1], max_depth=depth, tol=tol)
+    return approx, source, True
+
+
+def certified_approx(
+    ms: MatrixSet, est: JsrBounds, depth: int, tol: float, seed: int, gap: float
+) -> CertifiedApprox:
+    """Certify the growth rate of ``ms`` with an extremal norm and build the
+    depth-``depth`` survivor sets under it; ``est`` encloses its JSR.
+
+    When no norm certifies and the set is reducible with unbounded
+    products, its upper diagonal block is re-estimated (``target_gap=gap``,
+    depth 24) and run through the same steps once more.  Raises
+    ``NumericalError`` when no norm certifies, ``InconsistencyError`` when
+    the survivor sets empty.
+    """
+    triangularised = False
+    found = _approx_under_certified_norm(ms, est, depth, tol, seed)
+    if found is None:
+        try:
+            sub = reducibility.find_common_invariant_subspace(ms)
+        except NumericalError:
+            sub = None
+        if (
+            sub is not None
+            and reducibility.product_boundedness(ms).status != "Bounded"
+        ):
+            ms = reducibility.triangularise(ms, seed=seed).upper_blocks
+            est = estimate(ms, target_gap=gap, max_depth=24)
+            triangularised = True
+            found = _approx_under_certified_norm(ms, est, depth, tol, seed)
+    if found is None:
+        raise NumericalError(
+            "no extremal norm could be certified; Barabanov iteration failed "
+            "or does not apply"
+        )
+    approx, source, retried = found
+    return CertifiedApprox(approx, est, source, triangularised, retried)
 
 
 def recurrent_ratio_check(

@@ -28,7 +28,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.all(np.isfinite(m)):
         raise InputError("matrix entries must be finite")
     m.setflags(write=False)
     return m

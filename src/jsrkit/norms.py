@@ -24,10 +24,11 @@ import numpy as np
 from . import _kernels
 from .cocycle import prefix_values
 from .errors import InputError, NumericalError
-from .matrices import MatrixSet, operator_norm
+from .matrices import MatrixSet, max_entry_norm, operator_norm
 
 __all__ = [
     "NormModel",
+    "candidate_norms",
     "BarabanovCertificate",
     "check_extremal",
     "barabanov_iterate",
@@ -216,6 +217,25 @@ class NormModel:
     def angular_grid(cls, values) -> "NormModel":
         h = np.asarray(values, dtype=np.float64)
         return cls(kind="angular_grid", dim=2, values=h)
+
+
+def candidate_norms(ms: MatrixSet) -> list:
+    """Fixed norms to try as extremal, in order: sup first for diagonal sets,
+    Euclidean, then sup weighted by the Perron vector of max_i |A_i|."""
+    diagonal = all(
+        max_entry_norm(a - np.diag(np.diag(a))) == 0.0 for a in ms.matrices
+    )
+    sup, euclid = NormModel.sup(ms.dim), NormModel.euclidean(ms.dim)
+    cands = [sup, euclid] if diagonal else [euclid, sup]
+    env = np.max(np.stack([np.abs(a) for a in ms.matrices]), axis=0)
+    try:
+        vals, vecs = np.linalg.eig(env)
+        p = np.abs(vecs[:, int(np.argmax(np.abs(vals)))])
+        if np.min(p) > 1e-12:
+            cands.append(NormModel.weighted(1.0 / p))
+    except np.linalg.LinAlgError:
+        pass
+    return cands
 
 
 @dataclass(frozen=True)

@@ -135,17 +135,22 @@ def ratio_equivalence_check(
     }
 
 
-def ratio_curve(family, alphas, symbol: int, max_period: int = 10) -> dict:
+def ratio_curve(
+    family, alphas, symbol: int, max_period: int = 10, slack: float = 1e-6
+) -> dict:
     """Optimal-ratio curve over a parametrised family of matrix sets.
 
-    ``family`` maps a parameter value to a MatrixSet.  Returns per-point
+    ``family`` maps a parameter value to a MatrixSet; every point runs
+    ``optimal_periodic_ratio`` at ``slack``.  Returns per-point
     rows (alpha, gamma, spread, unique, witness) plus the maximum adjacent
     jump of gamma restricted to consecutive points both flagged unique.
     """
     rows = []
     for alpha in alphas:
         ms = family(alpha)
-        est = optimal_periodic_ratio(ms, symbol, max_period=max_period)
+        est = optimal_periodic_ratio(
+            ms, symbol, max_period=max_period, slack=slack
+        )
         witness = ()
         if est.witnesses:
             witness = max(est.witnesses, key=lambda t: t[1])[0]

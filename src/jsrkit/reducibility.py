@@ -18,6 +18,7 @@ import numpy as np
 from . import bounds as jsr_bounds
 from .errors import InputError, NumericalError
 from .matrices import MatrixSet, max_entry_norm
+from .norms import barabanov_iterate, candidate_norms, check_extremal
 
 __all__ = [
     "find_common_invariant_subspace",
@@ -236,31 +237,6 @@ class BoundednessVerdict:
     growth_exponent: float = None
 
 
-def _certificate_candidates(ms: MatrixSet):
-    from .norms import NormModel
-
-    d = ms.dim
-    diagonal = all(
-        max_entry_norm(a - np.diag(np.diag(a))) == 0.0 for a in ms.matrices
-    )
-    cands = []
-    if diagonal:
-        cands.append(NormModel.sup(d))
-    cands.append(NormModel.euclidean(d))
-    if not diagonal:
-        cands.append(NormModel.sup(d))
-    # a weighted norm adapted to the Perron vector of the entrywise max
-    env = np.max(np.stack([np.abs(a) for a in ms.matrices]), axis=0)
-    try:
-        vals, vecs = np.linalg.eig(env)
-        p = np.abs(vecs[:, int(np.argmax(np.abs(vals)))])
-        if np.min(p) > 1e-12:
-            cands.append(NormModel.weighted(1.0 / p))
-    except np.linalg.LinAlgError:
-        pass
-    return cands
-
-
 def product_boundedness(
     ms: MatrixSet, depth: int = 64, tol: float = 1e-6, beam: int = 256
 ) -> BoundednessVerdict:
@@ -273,8 +249,6 @@ def product_boundedness(
     envelope): an exponent >= 0.5 is reported Unbounded, anything milder
     Unknown.
     """
-    from .norms import barabanov_iterate, check_extremal
-
     est = jsr_bounds.estimate(ms, target_gap=1e-8, budget=200000, max_depth=24)
     rho = est.lower
     if rho == 0.0:
@@ -285,7 +259,7 @@ def product_boundedness(
             )
         return BoundednessVerdict(status="Unknown", depth=0, max_scaled_norm=math.inf)
     slack = tol + max(est.gap / rho, 0.0)
-    for cand in _certificate_candidates(ms):
+    for cand in candidate_norms(ms):
         ok, _ = check_extremal(cand, ms, rho, slack)
         if ok:
             return BoundednessVerdict(

@@ -18,6 +18,7 @@ from jsrkit import (
     barabanov_iterate,
     beta_sandwich,
     build_mather_approx,
+    certified_approx,
     cocycle_check,
     estimate,
     exterior_square,
@@ -31,10 +32,8 @@ from jsrkit import (
     triangularise,
     upper_bound_at_depth,
 )
-from jsrkit.cli import certified_norm_for
 from jsrkit.errors import JsrkitError
 from jsrkit.families import pair_family
-from jsrkit.norms import extremal_norm_2d
 
 from conftest import GOLDEN, random_matrix_set
 
@@ -129,11 +128,8 @@ def test_criterion_3_shear_family_at_one(shear_pair):
             assert wb.lower == pytest.approx(max(1.0, alpha), abs=1e-12)
             assert wb.upper == pytest.approx(max(1.0, alpha), abs=1e-12)
 
-        found = certified_norm_for(shear_pair, b, 5e-3, seed=0)
-        assert found is not None
-        norm, rho_c = found
-        approx = build_mather_approx(shear_pair, norm, rho_c, max_depth=12)
-        diag = minimal_set_diagnostic(approx)
+        found = certified_approx(shear_pair, b, 12, 5e-3, seed=0, gap=0.02)
+        diag = minimal_set_diagnostic(found.approx)
         assert diag.kind == "UniqueSCC"
 
         ratio = optimal_periodic_ratio(shear_pair, 1, max_period=8)
@@ -266,24 +262,10 @@ def test_criterion_5_marginal_stability_sweep():
             if periodic >= 1.0:
                 continue  # not periodically stable up to period 8
 
-            found = certified_norm_for(ms, b, 5e-3, seed=1)
-            if found is None:
-                continue  # no certified norm; the case cannot be flagged
-            norm, rho_c = found
             try:
-                ap = build_mather_approx(ms, norm, rho_c, max_depth=8,
-                                         tol=5e-3)
+                ap = certified_approx(ms, b, 8, 5e-3, seed=1, gap=1e-3).approx
             except JsrkitError:
-                found = certified_norm_for(ms, b, 5e-3, seed=1,
-                                           resolution=2048, horizon=600)
-                if found is None:
-                    continue
-                norm, rho_c = found
-                try:
-                    ap = build_mather_approx(ms, norm, rho_c, max_depth=8,
-                                             tol=5e-3)
-                except JsrkitError:
-                    continue
+                continue  # no certified norm, or its survivor sets empty
             if ap.is_full_language():
                 continue
 

@@ -121,6 +121,8 @@ def test_mather_command(diag_file, tmp_path):
                    "--dot", str(dot_file))
     assert doc["results"]["survivors_max_depth"] == ["11111111", "22222222"]
     assert doc["results"]["diagnostic"] == {"count": 2, "kind": "MultipleSCC"}
+    assert doc["results"]["certified_by"] == "max_entry"
+    assert doc["results"]["retried"] is False
     assert dot_file.read_text().startswith("digraph")
 
 

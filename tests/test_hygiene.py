@@ -1,11 +1,15 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter: every import is used, and
+the third-party modules imported are the declared dependencies."""
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "jsrkit"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "jsrkit"
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -42,3 +46,33 @@ def test_unused_import_check_sees_names_used_and_exported():
         "__all__ = ['mod']\nx = np.zeros(path)\n"
     )
     assert unused_imports(tree) == ["sep (line 2)"]
+
+
+def third_party_imports(tree: ast.Module) -> set:
+    """Top-level modules of absolute imports anywhere, stdlib left out."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in declared}
+    imported = set()
+    for path in SRC.glob("*.py"):
+        imported |= third_party_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert imported == declared
+
+
+def test_third_party_import_check_sees_function_level_imports():
+    tree = ast.parse(
+        "import os.path\nimport numpy as np\nfrom . import mod\n"
+        "def f():\n    from scipy.optimize import linprog\n"
+    )
+    assert third_party_imports(tree) == {"numpy", "scipy"}

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from jsrkit import (
+    InconsistencyError,
     MatrixSet,
     NormModel,
     barabanov_iterate,
     build_mather_approx,
+    certified_approx,
+    estimate,
     find_extremal_prefix,
     mean_distance_to_core,
     minimal_set_diagnostic,
     recurrent_ratio_check,
 )
+from jsrkit import mather
 
 from conftest import GOLDEN, random_matrix_set
 
@@ -103,3 +107,49 @@ def test_find_extremal_prefix_balanced_frequency(shear_pair):
     w = find_extremal_prefix(shear_pair, cert.norm, cert.rho_hat, 32)
     freq = sum(1 for s in w if s == 1) / len(w)
     assert 0.3 <= freq <= 0.7
+
+
+def _criterion5_case(k):
+    """Case k of acceptance criterion 5: a random pair scaled to JSR ~ 1."""
+    rng = np.random.default_rng(20250823)
+    for _ in range(k + 1):
+        mats = [rng.normal(size=(2, 2)) for _ in range(2)]
+    ms = MatrixSet(tuple(mats))
+    b0 = estimate(ms, target_gap=1e-3, budget=200000, max_depth=40)
+    ms = ms.scaled(1.0 / b0.upper)
+    return ms, estimate(ms, target_gap=1e-3, budget=200000, max_depth=40)
+
+
+def test_certified_approx_triangularises_the_stall_pair():
+    # no norm certifies the full set; its upper block [1], [0.5] is exact
+    ms = MatrixSet((np.array([[1.0, 100.0], [0.0, 1.0]]), 0.5 * np.eye(2)))
+    est = estimate(ms, target_gap=1e-3, max_depth=24, budget=20000)
+    found = certified_approx(ms, est, 8, 5e-3, seed=0, gap=1e-3)
+    assert found.triangularised
+    assert found.certified_by == "max_entry"
+    assert not found.retried
+    assert found.approx.rho_hat == 1.0
+    assert found.bounds.lower == found.bounds.upper == 1.0
+    for n in found.approx.depths:
+        assert found.approx.survivors[n] == frozenset({(1,) * n})
+
+
+def test_certified_approx_retries_the_running_max_norm_once():
+    ms, est = _criterion5_case(1)
+    found = certified_approx(ms, est, 8, 5e-3, seed=1, gap=1e-3)
+    assert found.certified_by == "extremal_norm_2d"
+    assert found.retried
+    assert not found.triangularised
+    assert found.approx.norm.values.shape == (2048,)
+
+
+def test_certified_approx_does_not_rebuild_a_candidate_norm(monkeypatch):
+    # the Euclidean norm certifies case 24 but its survivors empty;
+    # rebuilding it would give the same norm, so nothing else is tried
+    calls = []
+    for name in ("barabanov_iterate", "extremal_norm_2d"):
+        monkeypatch.setattr(mather, name, lambda *a, _n=name, **k: calls.append(_n))
+    ms, est = _criterion5_case(24)
+    with pytest.raises(InconsistencyError):
+        certified_approx(ms, est, 8, 5e-3, seed=1, gap=1e-3)
+    assert calls == []

@@ -24,6 +24,18 @@ def test_matrix_set_validation():
         MatrixSet((np.eye(2),), labels=("a", "b"))
 
 
+def test_matrix_set_accepts_fortran_order():
+    # a Fortran-ordered input once failed the finiteness check with a raw
+    # ValueError ("last axis must be contiguous")
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for fortran, values in ((a.T, a.T.copy()), (np.asfortranarray(a), a)):
+        assert not fortran.flags.c_contiguous
+        ms = MatrixSet((fortran,))
+        assert np.array_equal(ms.matrix(1), MatrixSet((values,)).matrix(1))
+    with pytest.raises(InputError):
+        MatrixSet((np.asfortranarray([[1.0, np.nan], [3.0, 4.0]]),))
+
+
 def test_matrix_set_indexing_is_one_based():
     ms = MatrixSet((np.diag([3.0, 1.0]), np.diag([1.0, 3.0])))
     assert ms.matrix(1)[0, 0] == 3.0

@@ -91,3 +91,18 @@ def test_ratio_curve_and_csv():
     lines = text.strip().splitlines()
     assert lines[0].startswith("alpha,")
     assert len(lines) == 4
+
+
+def test_ratio_curve_passes_slack_through():
+    # at slack 0.05 the near-optimal words no longer single out one ratio
+    curve = ratio_curve(pair_family, [0.5, 0.75], 1, max_period=8, slack=0.05)
+    for row in curve["rows"]:
+        est = optimal_periodic_ratio(
+            pair_family(row["alpha"]), 1, max_period=8, slack=0.05
+        )
+        assert (row["gamma"], row["spread"], row["unique"]) == (
+            est.gamma,
+            est.spread,
+            est.unique_flag,
+        )
+        assert not row["unique"]
