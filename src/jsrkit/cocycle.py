@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matrices import MatrixSet, _eigvals, max_entry_norm
+from .matrices import MatrixSet, _eigvals, _op_norms, max_entry_norm
 from .words import necklace_trie
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "cocycle_check",
     "path_log_norms",
     "periodic_values",
+    "word_log_norms",
 ]
 
 _LN2 = math.log(2.0)
@@ -130,17 +131,53 @@ def periodic_values(ms: MatrixSet, max_period: int) -> list:
     product = np.eye(ms.dim, dtype=np.complex128)[None]
     log_scale = np.zeros(1)
     out = []
-    for n, (level, period) in enumerate(zip(levels, periods), start=1):
-        parent, symbol = np.array(level).T
+    for n, ((parent, symbol), (words, nodes)) in enumerate(zip(levels, periods), start=1):
         product = stack[symbol] @ product[parent]
         log_scale = log_scale[parent]
         _rescale_batch(product, log_scale, np.abs(product).max(axis=(1, 2)))
-        nodes = [node for _, node in period]
         radii = np.abs(_eigvals(product[nodes])).max(axis=1)
-        for (w, _), r, ls in zip(period, radii.tolist(), log_scale[nodes].tolist()):
+        for w, r, ls in zip(words, radii.tolist(), log_scale[nodes].tolist()):
             # scalar log/exp: numpy's differ from them in the last bit
             out.append((w, math.exp((math.log(r) + ls) / n) if r > 0.0 else 0.0))
     return out
+
+
+def word_log_norms(ms: MatrixSet, depth: int, norm: str = "op"):
+    """log norm(L(w)) for every word w of length n = 1..depth, level by level.
+
+    Returns an iterator of one list per n, in ``enumerate_words``
+    lexicographic order, with -inf for a zero product.  ``norm`` is ``op``
+    (largest singular value) or ``max`` (d times the max-entry norm).  The
+    words of length n are one level of the product tree: one batched matmul
+    over the level before, rescaled as in ``evaluate``, and one batched
+    norm.  Each value is bit for bit log(norm of ``evaluate``'s product)
+    plus its log scale.  Only one level of ell**n products is held at a
+    time, so peak memory is the last level's.
+    """
+    if norm not in ("op", "max"):
+        raise InputError(f"unknown norm {norm!r}; use 'op' or 'max'")
+    stack = ms.stack()
+    ell, d = stack.shape[:2]
+
+    def levels():
+        product = np.eye(d, dtype=np.complex128)[None]
+        log_scale = np.zeros(1)
+        for _ in range(depth):
+            # children parent-major, then by symbol: lexicographic order
+            product = (stack[None] @ product[:, None]).reshape(-1, d, d)
+            log_scale = np.repeat(log_scale, ell)
+            _rescale_batch(product, log_scale, np.abs(product).max(axis=(1, 2)))
+            if norm == "op":
+                value = _op_norms(product)
+            else:
+                value = float(d) * np.abs(product).max(axis=(1, 2))
+            # scalar log: numpy's vectorised one can differ in the last bit
+            yield [
+                math.log(v) + s if v > 0.0 else -math.inf
+                for v, s in zip(value.tolist(), log_scale.tolist())
+            ]
+
+    return levels()
 
 
 def evaluate(ms: MatrixSet, word) -> CocycleValue:

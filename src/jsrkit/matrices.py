@@ -7,6 +7,7 @@ validated once (square, finite) and treated as immutable afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -54,9 +55,7 @@ class MatrixSet:
             raise InputError("all matrices in a set must share the same dimension")
         object.__setattr__(self, "matrices", mats)
         if self.labels is None:
-            object.__setattr__(
-                self, "labels", tuple(f"A{i + 1}" for i in range(len(mats)))
-            )
+            object.__setattr__(self, "labels", _default_labels(len(mats)))
         elif len(self.labels) != len(mats):
             raise InputError("labels must match the number of matrices")
 
@@ -81,6 +80,12 @@ class MatrixSet:
 
     def stack(self) -> np.ndarray:
         return np.stack(self.matrices)
+
+
+@lru_cache(maxsize=16)
+def _default_labels(n: int) -> tuple:
+    """("A1", ..., "An"), one shared tuple per n rather than one per set."""
+    return tuple(f"A{i + 1}" for i in range(n))
 
 
 def _eigvals(a: np.ndarray) -> np.ndarray:

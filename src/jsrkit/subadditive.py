@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cocycle import evaluate, periodic_values
+from .cocycle import evaluate, periodic_values, word_log_norms
 from .errors import InputError
 from .matrices import MatrixSet, max_entry_norm, operator_norm
 from .words import enumerate_words, primitive_necklaces
@@ -37,6 +37,9 @@ class SubadditiveObservable:
     # optional callable: period cap P -> the exact rates lim_k f_{kp}(w^k)/(kp)
     # of the primitive necklaces w of period p <= P
     periodic_rates: object = None
+    # optional callable: depth N -> for n = 1..N, the list of f_n(w) over all
+    # length-n words w in lexicographic order, equal to evaluating each word
+    level_values: object = None
 
     def __call__(self, w) -> float:
         return float(self.evaluator(tuple(w)))
@@ -48,8 +51,8 @@ class SubadditiveObservable:
         """
         for w in words:
             w = tuple(w)
+            whole = self(w)
             for m in range(1, len(w)):
-                whole = self(w)
                 part = self(w[m:]) + self(w[:m])
                 if whole > part + tol:
                     return (w, len(w) - m, m)
@@ -57,7 +60,11 @@ class SubadditiveObservable:
 
 
 def matrix_observable(ms: MatrixSet, norm: str = "op") -> SubadditiveObservable:
-    """f_n(w) = log of a submultiplicative norm of the cocycle product."""
+    """f_n(w) = log of a submultiplicative norm of the cocycle product.
+
+    Its ``level_values`` are ``cocycle.word_log_norms``: every word of a
+    length at once, with the evaluator's bits.
+    """
     if norm == "op":
         d = 1.0
     elif norm == "max":
@@ -79,7 +86,28 @@ def matrix_observable(ms: MatrixSet, norm: str = "op") -> SubadditiveObservable:
         values = periodic_values(ms, max_period)
         return [math.log(v) if v > 0.0 else -math.inf for _, v in values]
 
-    return SubadditiveObservable(evaluator, len(ms), periodic_rates=periodic_rates)
+    return SubadditiveObservable(
+        evaluator,
+        len(ms),
+        periodic_rates=periodic_rates,
+        level_values=lambda depth: word_log_norms(ms, depth, norm),
+    )
+
+
+def _levels(obs: SubadditiveObservable, depth: int, cap: int):
+    """f_n over all length-n words in lexicographic order, one list per n.
+
+    Raises past the word cap before anything is evaluated.  Uses the
+    observable's ``level_values`` when it has them, else evaluates word by
+    word.
+    """
+    enumerate_words(obs.alphabet_size, depth, cap)  # raises past the cap; makes no word
+    if obs.level_values is not None:
+        return obs.level_values(depth)
+    return (
+        [obs(w) for w in enumerate_words(obs.alphabet_size, n, cap)]
+        for n in range(1, depth + 1)
+    )
 
 
 def fekete_limit(prefix) -> tuple:
@@ -118,28 +146,33 @@ def beta_sandwich(
     """Two-sided enclosure of the maximal ergodic average of the observable.
 
     upper = min over n <= depth of (1/n) max over length-n words of f_n:
-    the inf-sup side, always an upper bound by subadditivity.  lower = max
-    over primitive periodic words w of period p <= max_period of the rate
-    of w.  With the observable's exact ``periodic_rates`` that is a lower
-    bound.  Without them it is only an estimate: the truncated periodic
-    average inf_{k <= K} f_{kp}(w^k)/(kp) with K = ceil(depth / p), and the
-    truncation of the inner infimum can only overestimate.  Either way the
-    lower side is clamped to the upper side, keeping lower <= upper.
+    the inf-sup side, always an upper bound by subadditivity.  With the
+    observable's ``level_values`` (``matrix_observable`` has them) each
+    length-n level is one batched product-tree level, so peak memory at the
+    cap is one full level of ell**depth values, as in
+    ``bounds.upper_bound_at_depth``; otherwise every word is evaluated on
+    its own.  Raises ``ResourceCapError`` before evaluating anything when
+    ell**depth exceeds ``cap``.
+
+    lower = max over primitive periodic words w of period p <= max_period
+    of the rate of w.  With the observable's exact ``periodic_rates`` that
+    is a lower bound.  Without them it is only an estimate: the truncated
+    periodic average inf_{k <= K} f_{kp}(w^k)/(kp) with K = ceil(depth / p),
+    and the truncation of the inner infimum can only overestimate.  Either
+    way the lower side is clamped to the upper side, keeping lower <= upper.
     """
     if not obs.declared_subadditive:
         raise InputError("beta_sandwich needs a declared-subadditive observable")
     if depth < 1 or max_period < 1:
         raise InputError("depth and max_period must be >= 1")
-    ell = obs.alphabet_size
     upper = math.inf
-    for n in range(1, depth + 1):
-        sup = max(obs(w) for w in enumerate_words(ell, n, cap))
-        upper = min(upper, sup / n)
+    for n, values in enumerate(_levels(obs, depth, cap), start=1):
+        upper = min(upper, max(values) / n)
     if obs.periodic_rates is not None:
         lower = max(obs.periodic_rates(max_period))
     else:
         lower = -math.inf
-        for w in primitive_necklaces(ell, max_period):
+        for w in primitive_necklaces(obs.alphabet_size, max_period):
             p = len(w)
             reps = max(1, math.ceil(depth / p))
             inner = min(obs(w * k) / (k * p) for k in range(1, reps + 1))
@@ -157,28 +190,31 @@ def subordination_survivors(
 ) -> dict:
     """Words whose every prefix nearly attains the maximal average lam.
 
-    First verifies the hypothesis sup_w f_n(w) = n*lam within tol at every
-    depth; then keeps, level by level, the words w with
-    f_m(w[:m]) >= m*lam - tol for all m <= n.  Returns depth -> word set.
+    Verifies the hypothesis sup_w f_n(w) = n*lam within tol at every depth,
+    and keeps, level by level, the words w with f_m(w[:m]) >= m*lam - tol
+    for all m <= n.  Returns depth -> word set.  Both read the same
+    lexicographic levels of f_n as ``beta_sandwich``: batched with the
+    observable's ``level_values``, with peak memory one full level at the
+    cap, else word by word.  Raises ``ResourceCapError`` before evaluating
+    anything when ell**depth exceeds ``cap``.
     """
     ell = obs.alphabet_size
     if depth < 1:
         raise InputError("depth must be >= 1")
-    for n in range(1, depth + 1):
-        sup = max(obs(w) for w in enumerate_words(ell, n, cap))
+    survivors = {}
+    level = [((), 0)]  # surviving words with their index in the level
+    for n, values in enumerate(_levels(obs, depth, cap), start=1):
+        sup = max(values)
         if abs(sup - n * lam) > tol * max(1.0, n):
             raise InputError(
                 f"hypothesis sup f_n = n*lam fails at depth {n}: "
                 f"sup = {sup}, n*lam = {n * lam}"
             )
-    survivors = {}
-    level = [()]
-    for n in range(1, depth + 1):
         level = [
-            w + (i,)
-            for w in level
-            for i in range(1, ell + 1)
-            if obs(w + (i,)) >= n * lam - tol
+            (w + (i + 1,), k * ell + i)
+            for w, k in level
+            for i in range(ell)
+            if values[k * ell + i] >= n * lam - tol
         ]
-        survivors[n] = frozenset(level)
+        survivors[n] = frozenset(w for w, _ in level)
     return survivors

@@ -8,9 +8,11 @@ sequences by the lexicographically least rotation of a primitive word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import networkx as nx
+import numpy as np
 
 from .errors import InputError, ResourceCapError
 
@@ -86,6 +88,7 @@ def normalize_periodic(w):
             return least_rotation(w[:p])
 
 
+@lru_cache(maxsize=8)
 def necklace_trie(ell: int, max_period: int):
     """Primitive necklaces up to ``max_period`` with the trie of their prefixes.
 
@@ -93,11 +96,14 @@ def necklace_trie(ell: int, max_period: int):
     words, i.e. the primitive least-rotation words, in lexicographic order.
     Each shares with the previous one its prefix of length
     min(|previous|, |word| - 1), so the trie is built in the same pass.
-    ``levels[k-1]`` lists the length-k prefixes in lexicographic order as
-    (parent's index in level k-1, 0 at the root; 0-based last symbol), and
-    ``periods[k-1]`` the necklaces of period k in lexicographic order as
-    (word, its node's index in level k).  Raises past the word cap before
-    generating anything.
+    ``levels[k-1]`` holds the length-k prefixes in lexicographic order as
+    two int arrays, (parent's index in level k-1, 0 at the root; 0-based
+    last symbol), and ``periods[k-1]`` the necklaces of period k in
+    lexicographic order as (word tuples, their nodes' indices in level k).
+
+    The result is immutable (tuples and read-only arrays) and memoised per
+    (ell, max_period), so repeated calls share one trie.  Raises past the
+    word cap before generating anything, on every call.
     """
     if max_period < 1:
         raise InputError("max_period must be >= 1")
@@ -119,7 +125,19 @@ def necklace_trie(ell: int, max_period: int):
         w += [w[k % n] for k in range(n, max_period)]  # periodic extension
         while w and w[-1] == ell:
             w.pop()
-    return levels, periods
+    return (
+        tuple(tuple(_read_only(column) for column in zip(*level)) for level in levels),
+        tuple(
+            (tuple(w for w, _ in period), _read_only([node for _, node in period]))
+            for period in periods
+        ),
+    )
+
+
+def _read_only(values) -> np.ndarray:
+    a = np.array(values, dtype=np.intp)
+    a.flags.writeable = False
+    return a
 
 
 def primitive_necklaces(ell: int, max_period: int):
@@ -128,7 +146,7 @@ def primitive_necklaces(ell: int, max_period: int):
     The Lyndon words of ``necklace_trie`` in Duval's lexicographic order,
     stably sorted by length, as a list.
     """
-    return [w for period in necklace_trie(ell, max_period)[1] for w, _ in period]
+    return [w for words, _ in necklace_trie(ell, max_period)[1] for w in words]
 
 
 def symbol_frequency(w, i: int) -> float:

@@ -1,11 +1,16 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
+import jsrkit.cocycle
+import jsrkit.subadditive
 from jsrkit import (
     InputError,
     MatrixSet,
+    ResourceCapError,
     SubadditiveObservable,
     beta_sandwich,
     estimate,
@@ -117,3 +122,118 @@ def test_subordination_rejects_wrong_rate(diag_set):
     obs = matrix_observable(diag_set, norm="op")
     with pytest.raises(InputError):
         subordination_survivors(obs, math.log(2.0), depth=5, tol=1e-6)
+
+
+def _reference_upper(obs, depth):
+    """beta_sandwich's upper side, one word at a time."""
+    upper = math.inf
+    for n in range(1, depth + 1):
+        words = itertools.product(range(1, obs.alphabet_size + 1), repeat=n)
+        upper = min(upper, max(obs(w) for w in words) / n)
+    return upper
+
+
+def _reference_survivors(obs, lam, depth, tol):
+    """subordination_survivors, one word at a time."""
+    ell = obs.alphabet_size
+    for n in range(1, depth + 1):
+        sup = max(obs(w) for w in itertools.product(range(1, ell + 1), repeat=n))
+        if abs(sup - n * lam) > tol * max(1.0, n):
+            raise InputError(f"hypothesis fails at depth {n}")
+    survivors = {}
+    level = [()]
+    for n in range(1, depth + 1):
+        level = [
+            w + (i,)
+            for w in level
+            for i in range(1, ell + 1)
+            if obs(w + (i,)) >= n * lam - tol
+        ]
+        survivors[n] = frozenset(level)
+    return survivors
+
+
+def _scaled_set(seed, dim, size, scale, complex_entries, triangular):
+    rng = np.random.default_rng([73, seed])
+    ms = random_matrix_set(rng, dim=dim, size=size, complex_entries=complex_entries)
+    mats = [scale * a for a in ms.matrices]
+    if triangular:
+        mats[0] = np.triu(mats[0], 1)  # strictly triangular: nilpotent
+    return MatrixSet(tuple(mats))
+
+
+_NILPOTENT = MatrixSet(([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]))
+_BATCH_SETS = {
+    "d1_ell3": (_scaled_set(1, 1, 3, 1.0, False, False), 6),
+    "d2_scale_1e12": (_scaled_set(2, 2, 2, 1e12, False, False), 8),
+    "d3_scale_1e-12": (_scaled_set(3, 3, 2, 1e-12, False, False), 8),
+    "d4_complex": (_scaled_set(4, 4, 2, 1.0, True, False), 6),
+    "d3_triangular": (_scaled_set(5, 3, 3, 1.0, False, True), 5),
+    "d2_complex_triangular": (_scaled_set(6, 2, 3, 1e12, True, True), 5),
+    "ell1": (_scaled_set(7, 3, 1, 1e-12, False, False), 10),
+    "nilpotent": (_NILPOTENT, 8),
+    "zero": (MatrixSet((np.zeros((2, 2)), np.zeros((2, 2)))), 4),
+}
+
+
+@pytest.mark.parametrize("norm", ["op", "max"])
+@pytest.mark.parametrize("name", sorted(_BATCH_SETS))
+def test_batched_levels_match_per_word_loop(name, norm):
+    ms, depth = _BATCH_SETS[name]
+    obs = matrix_observable(ms, norm)
+    generic = SubadditiveObservable(obs.evaluator, len(ms))
+    ell = len(ms)
+    # every value, not only the per-level maxima, in lexicographic order
+    levels = list(obs.level_values(depth))
+    assert levels == [
+        [generic(w) for w in itertools.product(range(1, ell + 1), repeat=n)]
+        for n in range(1, depth + 1)
+    ]
+    upper = _reference_upper(generic, depth)
+    low, up = beta_sandwich(obs, depth, max_period=4)
+    assert up == upper
+    assert low == min(max(obs.periodic_rates(4)), upper)
+    # a tolerance that the hypothesis passes, so the prefix filter runs
+    lam = upper
+    gaps = [abs(max(level) - n * lam) / n for n, level in enumerate(levels, start=1)]
+    tol = 0.3 + max((g for g in gaps if math.isfinite(g)), default=0.0)
+    depth = min(depth, 6)
+    try:
+        expected = _reference_survivors(generic, lam, depth, tol)
+    except InputError:
+        with pytest.raises(InputError):
+            subordination_survivors(obs, lam, depth, tol)
+    else:
+        assert subordination_survivors(obs, lam, depth, tol) == expected
+
+
+def test_matrix_observable_makes_no_per_word_calls(shear_pair, monkeypatch):
+    calls = []
+
+    def counting(ms, word):
+        calls.append(word)
+        return jsrkit.cocycle.evaluate(ms, word)
+
+    monkeypatch.setattr(jsrkit.subadditive, "evaluate", counting)
+    obs = matrix_observable(shear_pair)
+    low, up = beta_sandwich(obs, depth=8, max_period=6)
+    surv = subordination_survivors(obs, up, depth=6, tol=1.0)
+    assert calls == []
+    # the generic path of the same evaluator goes word by word
+    generic = SubadditiveObservable(obs.evaluator, 2, periodic_rates=obs.periodic_rates)
+    assert beta_sandwich(generic, depth=8, max_period=6) == (low, up)
+    assert subordination_survivors(generic, up, depth=6, tol=1.0) == surv
+    # 2 + ... + 2**8 words for beta_sandwich, 2 + ... + 2**6 for the survivors
+    assert len(calls) == 2**9 - 2 + 2**7 - 2
+
+
+def test_beta_sandwich_fails_fast_at_word_cap(shear_pair):
+    obs = matrix_observable(shear_pair)
+    generic = SubadditiveObservable(obs.evaluator, 2)
+    for o in (obs, generic):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            beta_sandwich(o, depth=15, max_period=2, cap=2**14)
+        with pytest.raises(ResourceCapError):
+            subordination_survivors(o, 0.5, depth=15, tol=1e-6, cap=2**14)
+        assert time.perf_counter() - start < 0.1

@@ -1,6 +1,7 @@
 import itertools
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from jsrkit import (
     strongly_connected_components,
     symbol_frequency,
 )
+from jsrkit.words import necklace_trie
 
 words_strategy = st.lists(
     st.integers(min_value=1, max_value=3), min_size=1, max_size=12
@@ -123,6 +125,36 @@ def test_primitive_necklaces_argument_checks():
         primitive_necklaces(2, 0)
     with pytest.raises(ResourceCapError):
         primitive_necklaces(2, 25)
+
+
+def test_necklace_trie_is_shared_and_immutable():
+    necklace_trie.cache_clear()
+    first = necklace_trie(2, 9)
+    fresh_levels, fresh_periods = first
+    necklace_trie.cache_clear()
+    levels, periods = necklace_trie(2, 9)
+    # a rebuilt trie holds equal data
+    assert len(levels) == len(fresh_levels) == 9
+    for (parent, symbol), (parent2, symbol2) in zip(levels, fresh_levels):
+        assert np.array_equal(parent, parent2) and np.array_equal(symbol, symbol2)
+    for (words, nodes), (words2, nodes2) in zip(periods, fresh_periods):
+        assert words == words2 and np.array_equal(nodes, nodes2)
+    # a repeated call shares it, and nobody can change it
+    assert necklace_trie(2, 9) is necklace_trie(2, 9)
+    assert isinstance(levels, tuple) and isinstance(periods[3][0], tuple)
+    for array in (levels[2][0], levels[2][1], periods[2][1]):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    with pytest.raises(TypeError):
+        periods[2][0][0] = (1, 1, 2)
+
+
+def test_necklace_trie_raises_at_the_cap_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ResourceCapError):
+            necklace_trie(2, 25)
+        with pytest.raises(InputError):
+            necklace_trie(2, 0)
 
 
 def test_symbol_frequency():
