@@ -104,8 +104,8 @@ def parse_grid(spec: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise InputError("--grid values must be numbers") from exc
-    if step <= 0 or stop < start:
-        raise InputError("--grid needs step > 0 and stop >= start")
+    if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
+        raise InputError("--grid needs finite values, step > 0 and stop >= start")
     n = int(round((stop - start) / step)) + 1
     return [round(start + k * step, 12) for k in range(n)]
 

@@ -268,23 +268,21 @@ def certified_approx(
     return CertifiedApprox(approx, est, source, triangularised, retried)
 
 
-def recurrent_ratio_check(
-    approx: MatherApprox, length_bound: int = None, cycle_cap: int = 20000
-) -> dict:
+def recurrent_ratio_check(approx: MatherApprox, cycle_cap: int = 20000) -> dict:
     """Spectral-radius ratios of cycles in the survivor graph.
 
     Every point of the maximising set is recurrent, so some cycle of the
     survivor graph should achieve spectral_radius(L(c))**(1/|c|) close to
-    rho_hat.  Enumerates simple cycles (early exit once the pass level is
-    reached), reporting the max ratio and a pass flag at 1 - 10*tol.
+    rho_hat.  Walks the simple cycles of length <= max_depth in (period,
+    lex) order of their least rotations, up to ``cycle_cap`` of them and
+    stopping at the first to reach 1 - 10*tol; reports max ratio and pass.
     """
     ms = approx.matrix_set
-    length_bound = length_bound or approx.max_depth
     threshold = 1.0 - 10.0 * approx.tol
     best = -math.inf
     best_cycle = None
     count = 0
-    for cycle in approx.graph.cycles(length_bound=length_bound):
+    for cycle in approx.graph.cycles(approx.max_depth):
         count += 1
         cv = evaluate(ms, cycle)
         r = spectral_radius(cv.product)

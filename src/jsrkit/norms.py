@@ -56,7 +56,6 @@ class NormModel:
     weights: np.ndarray = None
     vertices: np.ndarray = None
     values: np.ndarray = None
-    submultiplicative: bool = True
 
     def __post_init__(self):
         if self.kind not in (
@@ -312,7 +311,6 @@ def barabanov_iterate(
     resolution: int = 2048,
     max_iters: int = 20000,
     tol: float = 1e-10,
-    check_irreducible: bool = True,
     bounds=None,
     seed: int = 20240801,
 ) -> BarabanovCertificate:
@@ -331,6 +329,7 @@ def barabanov_iterate(
     over the last 30 iterations while the sup-change is still above
     ``tol``.  The message gives the period and the iteration.  A constant
     rho_k while h still moves is slow convergence and is not a cycle.
+    A reducible set raises ``InputError``.
     """
     if ms.dim != 2:
         raise InputError("the angular-grid construction needs dimension 2")
@@ -338,13 +337,12 @@ def barabanov_iterate(
         raise InputError("the Barabanov construction needs real matrices")
     if resolution % 8 != 0 or resolution < 8:
         raise InputError("resolution must be a positive multiple of 8")
-    if check_irreducible:
-        from .reducibility import find_common_invariant_subspace
+    from .reducibility import find_common_invariant_subspace
 
-        if find_common_invariant_subspace(ms) is not None:
-            raise InputError(
-                "matrix set is reducible; a Barabanov norm needs irreducibility"
-            )
+    if find_common_invariant_subspace(ms) is not None:
+        raise InputError(
+            "matrix set is reducible; a Barabanov norm needs irreducibility"
+        )
 
     m = resolution
     grid, images = _grid_images(ms, m)

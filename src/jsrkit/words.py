@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
-import networkx as nx
 import numpy as np
 
 from .errors import InputError, ResourceCapError
@@ -165,43 +164,40 @@ class WordGraph:
 
     depth: int
     nodes: frozenset
-    edges: frozenset = field(default=None)
+    edges: frozenset = field(init=False)
 
     def __post_init__(self):
         nodes = frozenset(tuple(w) for w in self.nodes)
         if any(len(w) != self.depth for w in nodes):
             raise InputError("all nodes must have length equal to the depth")
-        if self.edges is None:
-            by_prefix = {}
-            for v in nodes:
-                by_prefix.setdefault(v[:-1], []).append(v)
-            edges = frozenset(
-                (w, v)
-                for w in nodes
-                if self.depth >= 1
-                for v in by_prefix.get(w[1:], ())
-            )
-        else:
-            edges = frozenset((tuple(a), tuple(b)) for a, b in self.edges)
-            for a, b in edges:
-                if a not in nodes or b not in nodes:
-                    raise InputError("edge endpoint is not a node")
-                if a[1:] != b[:-1]:
-                    raise InputError(f"edge {a}->{b} violates the overlap condition")
+        by_prefix = {}
+        for v in nodes:
+            by_prefix.setdefault(v[:-1], []).append(v)
+        edges = frozenset(
+            (w, v) for w in nodes if self.depth >= 1 for v in by_prefix.get(w[1:], ())
+        )
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
 
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from(self.edges)
-        return g
-
     def cycles(self, length_bound: int):
-        """Simple cycles as periodic symbol words (first symbol of each node)."""
-        g = self.to_networkx()
-        for cyc in nx.simple_cycles(g, length_bound=length_bound):
-            yield tuple(node[0] for node in cyc)
+        """Simple cycles of length <= ``length_bound`` <= depth, as words.
+
+        A cycle of length p <= n runs through the n-windows of a p-periodic
+        sequence, its least node being one period's least rotation u
+        repeated to length n.  So the cycles are primitive least-rotation
+        words u, yielded in (period, lex) order.
+        """
+        n = self.depth
+        if length_bound > n:
+            raise InputError(f"cycle length bound {length_bound} exceeds the depth {n}")
+        nodes = sorted(self.nodes)
+        for p in range(1, length_bound + 1):
+            for s in nodes:
+                u = s[:p]
+                x = u * (n // p + 2)
+                if x[:n] == s and is_primitive(u) and u == least_rotation(u):
+                    if all(x[k : k + n] in self.nodes for k in range(1, p)):
+                        yield u
 
     def to_dot(self) -> str:
         def name(w):
@@ -218,11 +214,38 @@ class WordGraph:
 
 def strongly_connected_components(g: WordGraph):
     """SCC partition restricted to components that carry at least one edge,
-    so that each returned component supports an infinite orbit."""
-    nxg = g.to_networkx()
-    out = []
-    for comp in nx.strongly_connected_components(nxg):
-        comp = frozenset(comp)
-        if len(comp) > 1 or any((v, v) in g.edges for v in comp):
-            out.append(comp)
+    so that each returned component supports an infinite orbit (Tarjan)."""
+    successors = {v: [] for v in g.nodes}
+    for a, b in g.edges:
+        successors[a].append(b)
+    index, low, stack, out = {}, {}, [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        return v, iter(successors[v])
+
+    for root in sorted(g.nodes):
+        if root in index:
+            continue
+        work = [visit(root)]
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if w not in index:
+                    work.append(visit(w))
+                    break
+                low[v] = min(low[v], low[w])  # finished nodes hold len(g.nodes)
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = set()
+                    while v not in comp:
+                        comp.add(stack.pop())
+                    low.update(dict.fromkeys(comp, len(g.nodes)))
+                    if len(comp) > 1 or (v, v) in g.edges:
+                        out.append(frozenset(comp))
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
     return out

@@ -160,6 +160,14 @@ def test_one_ratio_grid_without_csv_prints_csv():
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("grid", ["0.1:nan:0.1", "0.1:inf:0.1"])
+def test_one_ratio_non_finite_grid_is_exit_2(grid):
+    # an input error, not a ValueError or OverflowError from the arithmetic
+    out = run_cli("one-ratio", "--family", "hmst", "--grid", grid, expect=2)
+    assert "finite" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_beta_command(diag_file):
     doc = run_json("beta", "--input", diag_file, "--depth", "6",
                    "--max-period", "4")

@@ -4,6 +4,7 @@ the third-party modules imported are the declared dependencies."""
 import ast
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -76,3 +77,13 @@ def test_third_party_import_check_sees_function_level_imports():
         "def f():\n    from scipy.optimize import linprog\n"
     )
     assert third_party_imports(tree) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("module", ["scipy", "networkx"])
+def test_import_leaves_module_unloaded(module):
+    # neither is needed to import jsrkit: scipy loads on first use, and
+    # networkx only serves tests as a reference
+    probe = f"import sys, jsrkit; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -1,7 +1,5 @@
 import math
 import re
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -263,13 +261,6 @@ def test_grid_norms_match_per_image_reference(name):
     lower = 0.999 * rho
     values = extremal_norm_2d(ms, lower, resolution=m, horizon=60).values
     assert values.tobytes() == _reference_extremal(ms, lower, m, 60).tobytes()
-
-
-def test_import_leaves_scipy_unloaded():
-    probe = "import sys, jsrkit; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
 
 
 def test_extremal_norm_construction_certifies_rate(shear_pair):

@@ -1,6 +1,5 @@
 import itertools
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,14 +170,66 @@ def test_word_graph_full_language_edges():
         assert u[1:] == v[:-1]
 
 
+def networkx_graph(g: WordGraph):
+    nx = pytest.importorskip("networkx")
+    gx = nx.DiGraph()
+    gx.add_nodes_from(g.nodes)
+    gx.add_edges_from(g.edges)
+    return nx, gx
+
+
 def test_word_graph_matches_networkx_scc():
     nodes = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
     g = WordGraph(2, nodes)
     sccs = strongly_connected_components(g)
     assert sccs == [nodes]
-    gx = g.to_networkx()
-    assert isinstance(gx, nx.DiGraph)
-    assert set(gx.nodes) == set(nodes)
+    nx, gx = networkx_graph(g)
+    assert [frozenset(c) for c in nx.strongly_connected_components(gx)] == sccs
+
+
+def random_de_bruijn_subgraph(rng, ell: int, depth: int) -> WordGraph:
+    """A dense random subset of a small de Bruijn graph; in a large one,
+    the windows of a few periodic words and random walks plus random
+    nodes, so that the graph has cycles of several lengths and SCCs."""
+    if ell**depth <= 64:
+        keep = rng.random(ell**depth) < rng.uniform(0.4, 1.0)
+        return WordGraph(depth, frozenset(itertools.compress(enumerate_words(ell, depth), keep)))
+    nodes = set()
+    for _ in range(rng.integers(1, 4)):
+        u = tuple(rng.integers(1, ell + 1, size=rng.integers(1, depth + 1)))
+        x = u * (depth // len(u) + 2)
+        nodes.update(x[k : k + depth] for k in range(len(u)))
+    for _ in range(rng.integers(0, 4)):
+        x = tuple(rng.integers(1, ell + 1, size=depth + rng.integers(0, 12)))
+        nodes.update(x[k : k + depth] for k in range(len(x) - depth + 1))
+    for _ in range(rng.integers(0, 8)):
+        nodes.add(tuple(rng.integers(1, ell + 1, size=depth)))
+    return WordGraph(depth, frozenset(tuple(int(s) for s in w) for w in nodes))
+
+
+def test_word_graph_cycles_and_sccs_match_networkx():
+    rng = np.random.default_rng(20261019)
+    for ell in range(1, 5):
+        for depth in range(1, 8):
+            for _ in range(5):
+                g = random_de_bruijn_subgraph(rng, ell, depth)
+                nx, gx = networkx_graph(g)
+                for bound in range(1, depth + 1):
+                    cycles = list(g.cycles(bound))
+                    reference = {
+                        normalize_periodic(tuple(v[0] for v in c))
+                        for c in nx.simple_cycles(gx, length_bound=bound)
+                    }
+                    assert len(cycles) == len(set(cycles))
+                    assert set(cycles) == reference
+                reference = {
+                    frozenset(c)
+                    for c in nx.strongly_connected_components(gx)
+                    if len(c) > 1 or any(gx.has_edge(v, v) for v in c)
+                }
+                sccs = strongly_connected_components(g)
+                assert len(sccs) == len(set(sccs))
+                assert set(sccs) == reference
 
 
 def test_word_graph_split_components():
@@ -194,9 +245,17 @@ def test_word_graph_split_components():
 
 def test_word_graph_cycles_yield_periodic_words():
     nodes = frozenset(enumerate_words(2, 2))
-    g = WordGraph(2, nodes)
-    cycles = set(g.cycles(2))
-    assert (1,) in cycles and (2,) in cycles and (1, 2) in cycles
+    assert list(WordGraph(2, nodes).cycles(2)) == [(1,), (2,), (1, 2)]
+    nodes = frozenset(enumerate_words(2, 3))
+    g = WordGraph(3, nodes)
+    # (period, lex) order, each cycle as its least rotation
+    assert list(g.cycles(3)) == [(1,), (2,), (1, 2), (1, 1, 2), (1, 2, 2)]
+    assert list(g.cycles(2)) == [(1,), (2,), (1, 2)]
+    # without 212 the cycle 121 -> 212 is gone, and 122 -> 221 -> 212 too
+    g = WordGraph(3, nodes - {(2, 1, 2)})
+    assert list(g.cycles(3)) == [(1,), (2,), (1, 1, 2)]
+    with pytest.raises(InputError):
+        list(g.cycles(4))
 
 
 def test_word_graph_dot_output():
