@@ -30,6 +30,8 @@ from .matrices import MatrixSet
 
 __all__ = ["main"]
 
+_GRID_POINT_CAP = 10_000  # each grid point is one full ratio analysis
+
 
 # ---------------------------------------------------------------- input
 
@@ -106,7 +108,12 @@ def parse_grid(spec: str):
         raise InputError("--grid values must be numbers") from exc
     if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
         raise InputError("--grid needs finite values, step > 0 and stop >= start")
-    n = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step  # inf when the quotient overflows
+    if not steps < _GRID_POINT_CAP:
+        raise ResourceCapError(
+            f"--grid {spec} has {steps + 1:.4g} points, over the cap of {_GRID_POINT_CAP}"
+        )
+    n = int(round(steps)) + 1
     return [round(start + k * step, 12) for k in range(n)]
 
 

@@ -34,6 +34,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _SCALE_HI = 32  # rescale when the max entry leaves [2**-32, 2**32]
+_BLOCK = 16  # path steps multiplied into one block product
+_BLOCK_RANGE = 900  # log2 range a block product may span unrescaled
 
 
 @dataclass(frozen=True)
@@ -79,38 +81,102 @@ def _rescale_batch(products: np.ndarray, log_scale: np.ndarray, m: np.ndarray):
         log_scale[big] += e[big] * _LN2
 
 
-def path_log_norms(stack: np.ndarray, steps, trials: int, floor: float):
+def _step(factor: np.ndarray, product: np.ndarray, log_scale: np.ndarray, floor: float):
+    """``factor @ product`` for a stack, rescaled as in ``evaluate``.
+
+    ``log_scale`` is updated in place.  Returns the new products and the
+    mask of those whose true max-entry norm (before the rescale) is zero or
+    below ``exp(floor)``.
+    """
+    product = factor @ product
+    m = np.abs(product).max(axis=(1, 2))
+    low = np.log(m) + log_scale < floor
+    _rescale_batch(product, log_scale, m)
+    return product, low
+
+
+def path_log_norms(stack: np.ndarray, chunks, trials: int, floor: float):
     """log max-entry norm of the product along each path, all paths at once.
 
-    ``stack`` is (l, d, d); ``steps`` yields, for each time step, the
-    0-based symbols of all trials as a (trials,) array, so a (n, trials)
-    array whose column t is the word of trial t will do.  Each step is one
-    batched matmul over the live trials, rescaled as in ``evaluate``.  A
-    trial whose product becomes exactly zero or falls below ``exp(floor)``
-    in true value is absorbed: it drops out, its log norm is -inf and its
-    absorption step (1-based) is recorded.  Once every trial is absorbed,
-    ``steps`` is read no further.  Returns ``(log_norm, absorbed)``, with
-    ``absorbed`` -1 for trials that never were.
+    ``stack`` is (l, d, d); ``chunks`` yields the 0-based symbols of all
+    trials a run of steps at a time, as (n, trials) arrays whose column t
+    continues the word of trial t, so ``[words]`` will do for a (horizon,
+    trials) array.  A trial whose product becomes exactly zero or falls
+    below ``exp(floor)`` in true value is absorbed: it drops out, its log
+    norm is -inf and its absorption step (1-based) is recorded.  Once every
+    trial is absorbed, ``chunks`` is read no further.  Returns
+    ``(log_norm, absorbed)``, with ``absorbed`` -1 for trials that never
+    were.
+
+    Each chunk is cut into blocks of ``_BLOCK`` steps, the last one padded
+    with the identity, which is exact.  All block products of all live
+    trials come from ``_BLOCK`` batched matmuls.  They skip the per-step
+    rescale when the set's bounds keep a block inside 2**-900..2**900:
+    ``_BLOCK * max(hi, -lo) <= 900`` with hi the largest log2 of a row-sum
+    norm ||A_i||_inf and lo the smallest log2 of a least singular value (a
+    singular set always rescales).  The blocks then fold into the running
+    product one at a time, rescaled as in ``evaluate``.  Since
+    ||A P||_max <= ||A||_inf ||P||_max, every product inside a block has
+    ln||P_j||_max >= ln||P_end||_max - _BLOCK * g, with
+    g = max(0, max_i ln||A_i||_inf).  A trial whose bound stays at least 1
+    above the floor cannot have been absorbed in the block.  Every other
+    trial is replayed step by step from the block's start with the
+    per-step rule, so absorption steps are those of a step-by-step
+    product.  Transient memory is one chunk's symbols and block products.
     """
-    product = np.tile(np.eye(stack.shape[1], dtype=stack.dtype), (trials, 1, 1))
-    log_scale = np.zeros(trials)
-    live = np.arange(trials)
-    log_norm = np.full(trials, -math.inf)
-    absorbed = np.full(trials, -1, dtype=np.int64)
+    ell, d = stack.shape[:2]
+    eye = np.eye(d, dtype=stack.dtype)
+    factors = np.concatenate([stack, eye[None]])  # symbol ell pads blocks
     with np.errstate(divide="ignore"):  # log(0) = -inf marks a zero product
-        for k, symbols in enumerate(steps):
-            product = stack[symbols[live]] @ product
-            m = np.abs(product).max(axis=(1, 2))
-            dead = np.log(m) + log_scale < floor
-            if dead.any():
-                absorbed[live[dead]] = k + 1
-                keep = ~dead
-                live, product, log_scale, m = (
-                    live[keep], product[keep], log_scale[keep], m[keep]
-                )
+        hi = np.log2(np.abs(stack).sum(axis=2).max())
+        lo = np.log2(np.linalg.svd(stack, compute_uv=False)[:, -1].min())
+        rescale_blocks = not _BLOCK * max(hi, -lo) <= _BLOCK_RANGE
+        pass_floor = floor + 1.0 + _BLOCK * max(0.0, hi) * _LN2
+        product = np.tile(eye, (trials, 1, 1))
+        log_scale = np.zeros(trials)
+        live = np.arange(trials)
+        log_norm = np.full(trials, -math.inf)
+        absorbed = np.full(trials, -1, dtype=np.int64)
+        done = 0  # steps before the chunk
+        for chunk in chunks:
+            n = len(chunk)
+            blocks = -(-n // _BLOCK)
+            symbols = np.full((blocks * _BLOCK, live.size), ell, np.min_scalar_type(ell))
+            symbols[:n] = chunk[:, live]
+            symbols = symbols.reshape(blocks, _BLOCK, live.size)
+            block = eye
+            block_scale = np.zeros(blocks * live.size)
+            for j in range(_BLOCK):
+                factor = factors[symbols[:, j].ravel()]
+                if rescale_blocks:
+                    block, _ = _step(factor, block, block_scale, -math.inf)
+                else:
+                    block = factor @ block
+            block = block.reshape(blocks, live.size, d, d)
+            block_scale = block_scale.reshape(blocks, live.size)
+            for b in range(blocks):
+                scale = log_scale + block_scale[b]
+                after, low = _step(block[b], product, scale, pass_floor)
+                if low.any():
+                    replay = np.flatnonzero(low)
+                    p, s = product[replay], log_scale[replay]
+                    for j in range(min(_BLOCK, n - b * _BLOCK)):
+                        p, dead = _step(factors[symbols[b, j, replay]], p, s, floor)
+                        if dead.any():
+                            absorbed[live[replay[dead]]] = done + b * _BLOCK + j + 1
+                            replay, p, s = replay[~dead], p[~dead], s[~dead]
+                    after[replay], scale[replay] = p, s
+                    keep = absorbed[live] < 0
+                    live, after, scale = live[keep], after[keep], scale[keep]
+                    block, block_scale = block[:, keep], block_scale[:, keep]
+                    symbols = symbols[:, :, keep]
+                product, log_scale = after, scale
                 if live.size == 0:
                     break
-            _rescale_batch(product, log_scale, m)
+            if live.size == 0:
+                break
+            done += n
+            del block, block_scale  # not held while the next chunk is drawn
         m = np.abs(product).max(axis=(1, 2), initial=0.0)
         log_norm[live] = np.log(m) + log_scale
     return log_norm, absorbed

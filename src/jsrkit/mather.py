@@ -20,7 +20,7 @@ import numpy as np
 from . import reducibility
 from .bounds import JsrBounds, estimate
 from .cocycle import _rescale, evaluate, prefix_values
-from .errors import InconsistencyError, InputError, NumericalError
+from .errors import InconsistencyError, InputError, NumericalError, ResourceCapError
 from .matrices import MatrixSet, spectral_radius
 from .norms import NormModel, candidate_norms, check_extremal
 from .norms import barabanov_iterate, extremal_norm_2d
@@ -359,6 +359,7 @@ def find_extremal_prefix(
     length: int,
     eps: float = 5e-3,
     window: int = 3,
+    budget: int = 20_000,
 ) -> tuple:
     """Depth-first search for one length-N word whose prefixes all survive.
 
@@ -366,11 +367,15 @@ def find_extremal_prefix(
     whose new trailing window already occurred earlier in the prefix are
     preferred, with lexicographic order breaking ties.  Exhaustion raises
     an inconsistency error with the same semantics as a build failure.
+    The search evaluates at most ``budget`` one-symbol extensions and
+    raises ``ResourceCapError`` when it needs more.
     """
     if length < 1:
         raise InputError("length must be >= 1")
     if rho_hat <= 0.0:
         raise InputError("rho_hat must be positive")
+    if budget < 1:
+        raise InputError("budget must be >= 1")
     logr = math.log(rho_hat)
     floor = math.log1p(-eps)
     ell = len(ms)
@@ -405,6 +410,11 @@ def find_extremal_prefix(
         if not pending:
             stack.pop()
             continue
+        if budget == 0:
+            raise ResourceCapError(
+                f"no length-{length} word found within the evaluation budget"
+            )
+        budget -= 1
         i = pending.pop(0)
         nxt = surviving(word, p, ls, i)
         if nxt is not None:

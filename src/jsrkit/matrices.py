@@ -6,7 +6,6 @@ validated once (square, finite) and treated as immutable afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -35,51 +34,63 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
 class MatrixSet:
     """A finite indexed family A_1, ..., A_l of d x d complex matrices.
 
     Symbols are 1-based throughout the package: ``ms.matrix(i)`` returns
-    A_i for i in 1..len(ms).
+    A_i for i in 1..len(ms).  The matrices are held as one read-only
+    (l, d, d) array; ``matrices`` gives views of it.
     """
 
-    matrices: tuple
-    labels: tuple = field(default=None)
+    __slots__ = ("_stack", "labels")
 
-    def __post_init__(self):
-        mats = tuple(as_matrix(a) for a in self.matrices)
+    def __init__(self, matrices, labels=None):
+        mats = [as_matrix(a) for a in matrices]
         if not mats:
             raise InputError("a MatrixSet needs at least one matrix")
         d = mats[0].shape[0]
         if any(m.shape[0] != d for m in mats):
             raise InputError("all matrices in a set must share the same dimension")
-        object.__setattr__(self, "matrices", mats)
-        if self.labels is None:
-            object.__setattr__(self, "labels", _default_labels(len(mats)))
-        elif len(self.labels) != len(mats):
+        if labels is None:
+            labels = _default_labels(len(mats))
+        elif len(labels) != len(mats):
             raise InputError("labels must match the number of matrices")
+        stack = np.stack(mats)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MatrixSet is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return f"MatrixSet({self.matrices!r}, labels={self.labels!r})"
+
+    @property
+    def matrices(self) -> tuple:
+        return tuple(self._stack)
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].shape[0]
+        return self._stack.shape[1]
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return len(self._stack)
 
     def matrix(self, i: int) -> np.ndarray:
         """Return A_i for a 1-based symbol i."""
-        if not 1 <= i <= len(self.matrices):
-            raise InputError(f"symbol {i} outside 1..{len(self.matrices)}")
-        return self.matrices[i - 1]
+        if not 1 <= i <= len(self._stack):
+            raise InputError(f"symbol {i} outside 1..{len(self._stack)}")
+        return self._stack[i - 1]
 
     def scaled(self, c: float) -> "MatrixSet":
-        return MatrixSet(tuple(c * m for m in self.matrices), self.labels)
+        return MatrixSet(c * self._stack, self.labels)
 
     def is_real(self, tol: float = 0.0) -> bool:
-        return all(np.max(np.abs(m.imag)) <= tol for m in self.matrices)
+        return bool(np.max(np.abs(self._stack.imag)) <= tol)
 
     def stack(self) -> np.ndarray:
-        return np.stack(self.matrices)
+        return self._stack.copy()
 
 
 @lru_cache(maxsize=16)

@@ -11,12 +11,13 @@ almost-everywhere statement.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds as jsr_bounds
-from .cocycle import path_log_norms
+from .cocycle import _BLOCK, path_log_norms
 from .errors import InputError
 from .matrices import MatrixSet
 
@@ -29,20 +30,21 @@ __all__ = [
 ]
 
 _ABSORPTION_FLOOR = math.log(1e-300)
-_BLOCK_STEPS = 1024  # uniforms drawn per trial at a time
+_CHUNK_STEPS = 256  # uniforms drawn per trial, and path steps held, at a time
 
 
-@dataclass(frozen=True)
 class MarkovChainSpec:
-    """Row-stochastic transition matrix with an initial distribution."""
+    """Row-stochastic transition matrix with an initial distribution.
 
-    transition: np.ndarray
-    initial: np.ndarray
-    seed: int = 0
+    Both are copied into one read-only (l + 1, l) array whose last row is
+    the initial distribution; ``transition`` and ``initial`` are views of it.
+    """
 
-    def __post_init__(self):
-        p = np.asarray(self.transition, dtype=np.float64)
-        pi = np.asarray(self.initial, dtype=np.float64)
+    __slots__ = ("_rows", "seed")
+
+    def __init__(self, transition, initial, seed: int = 0):
+        p = np.asarray(transition, dtype=np.float64)
+        pi = np.asarray(initial, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise InputError("transition matrix must be square")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(pi))):
@@ -51,10 +53,28 @@ class MarkovChainSpec:
             raise InputError("transition rows must be nonnegative and sum to 1")
         if pi.shape != (p.shape[0],) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise InputError("initial distribution must match and sum to 1")
-        if self.seed < 0:
+        if seed < 0:
             raise InputError("seed must be nonnegative")
-        object.__setattr__(self, "transition", p)
-        object.__setattr__(self, "initial", pi)
+        rows = np.vstack([p, pi])
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "seed", seed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MarkovChainSpec is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"MarkovChainSpec({self.transition!r}, {self.initial!r}, seed={self.seed!r})"
+        )
+
+    @property
+    def transition(self) -> np.ndarray:
+        return self._rows[:-1]
+
+    @property
+    def initial(self) -> np.ndarray:
+        return self._rows[-1]
 
     @property
     def states(self) -> int:
@@ -107,14 +127,23 @@ class MarkovEstimate:
 
 
 def _simulate_paths(chain: MarkovChainSpec, horizon: int, trials: int):
-    """Yield the 0-based states of all trials, one (trials,) array per step.
+    """Yield the 0-based states of all trials, ``_CHUNK_STEPS`` steps at a time.
 
-    Trial t draws its uniforms from its own counter-based stream, in blocks
-    of ``_BLOCK_STEPS`` so that memory does not grow with the horizon, and
-    its path does not depend on how many trials run.  Each uniform is
-    inverted against the normalised cumulative row of the current state
-    with searchsorted(side="right") semantics, as ``Generator.choice(p=...)``
-    does, so the paths match one ``choice`` call per step bit for bit.
+    Each chunk is an (n, trials) array of the smallest unsigned dtype that
+    holds the state count.  Trial t draws its uniforms from its own
+    counter-based stream, one chunk at a time so that memory does not grow
+    with the horizon, and its path does not depend on how many trials run.
+    Each uniform is inverted against the normalised cumulative row of the
+    current state with searchsorted(side="right") semantics, as
+    ``Generator.choice(p=...)`` does, so the paths match one ``choice`` call
+    per step bit for bit.
+
+    A chunk is worked out from tables, not step by step: the uniforms of
+    each step give its next state from every current state at once (step 0
+    maps every state to the initial draw).  The tables are composed over
+    blocks of ``_BLOCK`` steps, the composed maps carry the state from block
+    start to block start, and each block is then filled in from its start:
+    about 3 * ``_BLOCK`` flat lookups per chunk.
     """
     rngs = [
         np.random.Generator(
@@ -126,23 +155,51 @@ def _simulate_paths(chain: MarkovChainSpec, horizon: int, trials: int):
     start /= start[-1]
     cdf = chain.transition.cumsum(axis=1)
     cdf /= cdf[:, -1:]
+    state = np.zeros(trials, np.min_scalar_type(chain.states))  # step 0 does not read it
+    for k in range(0, horizon, _CHUNK_STEPS):
+        n = min(_CHUNK_STEPS, horizon - k)
+        chunk, state = _chunk_states(rngs, n, cdf, start if k == 0 else None, state)
+        yield chunk
+
+
+def _chunk_states(rngs, n: int, cdf: np.ndarray, start, state: np.ndarray):
+    """The states of the next n steps of every trial, and the last of them.
+
+    ``start`` is the normalised cumulative initial distribution when the
+    chunk begins the paths, else None.  The working arrays die with the
+    call, so that between chunks only the states are held.
+    """
+    trials, ell = len(rngs), len(cdf)
+    stride = np.intp(trials)  # a strong integer type: no uint8 wrap-around
+    lanes = np.arange(trials)
+    blocks = -(-n // _BLOCK)
+    # a partial block ends only the last chunk: what its padding steps
+    # give is cut off, and the state after it is never read
+    u = np.zeros((blocks * _BLOCK, trials))
+    for t, rng in enumerate(rngs):
+        u[:n, t] = rng.random(n)
+    u = u.reshape(blocks, _BLOCK, 1, trials).transpose(1, 0, 2, 3)
+    # table[j, b, s, t]: trial t's state after step j of block b from s.
     # searchsorted's right index is the count of cumulative entries <= u;
     # the last entry of a row is 1 > u and never counts
-    columns = cdf[:, :-1].T.copy()
-    zero = np.zeros(trials, dtype=np.intp)
-    uniforms = np.empty((min(horizon, _BLOCK_STEPS), trials))
-    for k in range(horizon):
-        j = k % _BLOCK_STEPS
-        if j == 0:
-            n = min(_BLOCK_STEPS, horizon - k)
-            for t, rng in enumerate(rngs):
-                uniforms[:n, t] = rng.random(n)
-        u = uniforms[j]
-        if k == 0:
-            state = np.searchsorted(start, u, side="right")
-        else:
-            state = sum((column[state] <= u for column in columns), zero)
-        yield state
+    table = np.zeros((_BLOCK, blocks, ell, trials), state.dtype)
+    for column in cdf[:, :-1].T:
+        table += column[:, None] <= u
+    if start is not None:
+        table[0, 0] = np.searchsorted(start, u[0, 0, 0], side="right")
+    flat = table.reshape(_BLOCK, -1)
+    base = np.arange(blocks)[:, None] * (ell * stride) + lanes  # (blocks, trials)
+    through = table[0]  # each block's map from its entry state so far
+    for j in range(1, _BLOCK):
+        through = np.take(flat[j], through * stride + base[:, None])
+    entry = np.empty((blocks, trials), state.dtype)
+    for b in range(blocks):
+        entry[b] = state
+        state = np.take(through[b], state * stride + lanes)
+    states = np.empty((_BLOCK, blocks, trials), state.dtype)
+    for j in range(_BLOCK):
+        entry = states[j] = np.take(flat[j], entry * stride + base)
+    return states.transpose(1, 0, 2).reshape(-1, trials)[:n], state
 
 
 def markov_lyapunov(
@@ -153,18 +210,27 @@ def markov_lyapunov(
 ) -> MarkovEstimate:
     """Across-trial estimate of lim (1/n) log ||L(x, n)|| under the chain.
 
-    Every time step advances all trials together: one vectorised symbol
-    draw and one batched (trials, d, d) product step, in float64 when the
-    set is real.  Each trial has its own seeded stream, so its outcome does
-    not depend on the number of trials.  A trial whose product norm reaches
-    exact zero (or underflows below 1e-300 in true value) counts as
-    absorbed and contributes absorption statistics instead of a rate
-    sample.
+    All trials advance together through the horizon in chunks of
+    ``_CHUNK_STEPS`` steps, in float64 when the set is real: the chunk's
+    symbols come from ``_simulate_paths`` and its products from
+    ``path_log_norms``, which multiplies blocks of ``_BLOCK`` steps in
+    batched passes and replays step by step only the blocks in which a
+    trial may have been absorbed.  Peak memory is one chunk's symbols and
+    block products, whatever the horizon.  Each trial has its own seeded
+    stream, so its outcome does not depend on the number of trials.  A
+    trial whose product norm reaches exact zero (or underflows below
+    1e-300 in true value) counts as absorbed and contributes its
+    absorption step, the same as a step-by-step product's, instead of a
+    rate sample.
     """
     if chain.states != len(ms):
         raise InputError("chain state count must match the matrix set")
     if not chain.full:
         raise InputError("the Markov chain must be full (all transitions positive)")
+    for name, value in (("horizon", horizon), ("trials", trials)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InputError(f"{name} must be an integer, not {value!r}")
+    horizon, trials = int(horizon), int(trials)
     if horizon < 1 or trials < 1:
         raise InputError("horizon and trials must be >= 1")
     stack = ms.stack()

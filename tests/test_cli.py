@@ -168,6 +168,15 @@ def test_one_ratio_non_finite_grid_is_exit_2(grid):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("grid", ["0:1e300:1e-300", "0:1:1e-9"])
+def test_one_ratio_huge_grid_is_exit_3(grid):
+    # the first used to exit 1 with an OverflowError; the second would
+    # build a billion-point list before any other budget applies
+    out = run_cli("one-ratio", "--family", "hmst", "--grid", grid, expect=3)
+    assert "cap" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_beta_command(diag_file):
     doc = run_json("beta", "--input", diag_file, "--depth", "6",
                    "--max-period", "4")

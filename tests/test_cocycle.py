@@ -81,13 +81,31 @@ def test_path_log_norms_absorption_detected():
     stack = np.stack([np.zeros((2, 2)), np.eye(2)]).astype(complex)
     floor = math.log(1e-300)
     symbols = np.array([2, 2, 1, 2])
-    log_norm, absorbed = path_log_norms(stack, (symbols - 1)[:, None], 1, floor)
+    log_norm, absorbed = path_log_norms(stack, [(symbols - 1)[:, None]], 1, floor)
     assert absorbed[0] == 3  # the zero factor is the third one applied
     assert log_norm[0] == -np.inf
     symbols_ok = np.array([2, 2, 2])
-    log_norm, absorbed = path_log_norms(stack, (symbols_ok - 1)[:, None], 1, floor)
+    log_norm, absorbed = path_log_norms(stack, [(symbols_ok - 1)[:, None]], 1, floor)
     assert absorbed[0] == -1
     assert log_norm[0] == 0.0
+
+
+def test_path_log_norms_absorption_inside_a_block():
+    # the product sinks to 1e-400 at step 2 and is back to 1e2400 by the
+    # end of the first block, so only the per-step replay can see it
+    stack = np.stack([1e-200 * np.eye(2), 1e200 * np.eye(2)])
+    floor = math.log(1e-300)
+    word = np.array([0, 0] + [1] * 16 + [0] * 2)
+    log_norm, absorbed = path_log_norms(stack, [word[:, None]], 1, floor)
+    assert absorbed[0] == 2
+    assert log_norm[0] == -np.inf
+    # the same word in chunks of 3 steps: padded blocks change nothing
+    chunks = [word[k:k + 3, None] for k in range(0, len(word), 3)]
+    assert path_log_norms(stack, chunks, 1, floor)[1][0] == 2
+    word = np.array([1, 0] * 9 + [1])
+    log_norm, absorbed = path_log_norms(stack, [word[:, None]], 1, floor)
+    assert absorbed[0] == -1
+    assert log_norm[0] == pytest.approx(200 * math.log(10.0), rel=1e-14)
 
 
 def _reference_periodic_values(ms, max_period):

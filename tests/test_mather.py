@@ -3,8 +3,10 @@ import pytest
 
 from jsrkit import (
     InconsistencyError,
+    InputError,
     MatrixSet,
     NormModel,
+    ResourceCapError,
     barabanov_iterate,
     build_mather_approx,
     certified_approx,
@@ -107,6 +109,19 @@ def test_find_extremal_prefix_balanced_frequency(shear_pair):
     w = find_extremal_prefix(shear_pair, cert.norm, cert.rho_hat, 32)
     freq = sum(1 for s in w if s == 1) / len(w)
     assert 0.3 <= freq <= 0.7
+
+
+def test_find_extremal_prefix_stops_at_its_budget():
+    # every prefix survives up to length ~50 at this rate, so the search
+    # used to backtrack through 2**50 words without end
+    ms = MatrixSet((np.eye(2), np.eye(2)))
+    with pytest.raises(ResourceCapError):
+        find_extremal_prefix(ms, NormModel.sup(2), 1.0001, 60)
+    with pytest.raises(InputError):
+        find_extremal_prefix(ms, NormModel.sup(2), 1.0, 4, budget=0)
+    assert find_extremal_prefix(ms, NormModel.sup(2), 1.0, 4, budget=4) == (1,) * 4
+    with pytest.raises(ResourceCapError):
+        find_extremal_prefix(ms, NormModel.sup(2), 1.0, 4, budget=3)
 
 
 def _criterion5_case(k):

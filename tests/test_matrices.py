@@ -46,6 +46,20 @@ def test_matrix_set_indexing_is_one_based():
         ms.matrix(3)
 
 
+def test_matrix_set_is_immutable_and_owns_its_data():
+    a = np.diag([3.0, 1.0])
+    ms = MatrixSet((a, np.eye(2)))
+    a[0, 0] = 7.0
+    assert ms.matrix(1)[0, 0] == 3.0
+    assert not ms.matrix(1).flags.writeable
+    assert all(not m.flags.writeable for m in ms.matrices)
+    with pytest.raises(AttributeError):
+        ms.labels = ("x", "y")
+    stack = ms.stack()
+    stack[0, 0, 0] = 5.0  # a copy: the set is unchanged
+    assert ms.matrix(1)[0, 0] == 3.0
+
+
 def test_scaled_set():
     ms = MatrixSet((np.eye(2),)).scaled(2.5)
     assert np.allclose(ms.matrix(1), 2.5 * np.eye(2))

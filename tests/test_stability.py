@@ -39,6 +39,18 @@ def test_chain_spec_rejects_non_finite_entries_and_negative_seed():
         MarkovChainSpec.uniform(2, seed=-1)
 
 
+def test_chain_spec_is_immutable_and_owns_its_data():
+    p = np.array([[0.5, 0.5], [0.25, 0.75]])
+    pi = np.array([0.5, 0.5])
+    chain = MarkovChainSpec(p, pi, seed=3)
+    p[0, 0] = 0.0
+    assert chain.transition[0, 0] == 0.5
+    assert not chain.transition.flags.writeable
+    assert not chain.initial.flags.writeable
+    with pytest.raises(AttributeError):
+        chain.seed = 4
+
+
 def test_uniform_chain_is_full():
     chain = MarkovChainSpec.uniform(3)
     assert chain.full
@@ -87,10 +99,10 @@ def test_trial_outcomes_independent_of_trial_count():
                     np.array([[0.0, 1.0], [0.0, 0.0]])))
     chain = MarkovChainSpec.uniform(3, seed=11)
     stack = ms.stack().real
-    paths = np.array(list(_simulate_paths(chain, 6, 16)))
-    assert np.array_equal(paths[:, :8], list(_simulate_paths(chain, 6, 8)))
-    log_norm, absorbed = path_log_norms(stack, paths, 16, _ABSORPTION_FLOOR)
-    log_norm8, absorbed8 = path_log_norms(stack, paths[:, :8], 8, _ABSORPTION_FLOOR)
+    paths = np.concatenate(list(_simulate_paths(chain, 6, 16)))
+    assert np.array_equal(paths[:, :8], np.concatenate(list(_simulate_paths(chain, 6, 8))))
+    log_norm, absorbed = path_log_norms(stack, [paths], 16, _ABSORPTION_FLOOR)
+    log_norm8, absorbed8 = path_log_norms(stack, [paths[:, :8]], 8, _ABSORPTION_FLOOR)
     assert np.array_equal(log_norm[:8], log_norm8)
     assert np.array_equal(absorbed[:8], absorbed8)
     assert 0 < np.count_nonzero(absorbed >= 0) < 16
@@ -152,6 +164,57 @@ def test_batched_matches_per_trial_reference(case):
         assert math.isnan(est.lambda_hat)
     else:
         assert abs(est.lambda_hat - lam) <= 1e-12
+
+
+def _blocked_cases():
+    """Sets that take each branch of the blocked product pass."""
+    rng = np.random.default_rng(2026)
+    eye = np.eye(2)
+    drift_up = MarkovChainSpec(np.array([[0.45, 0.55], [0.45, 0.55]]),
+                               np.array([0.5, 0.5]), seed=4)
+    # a trial sinks below the floor mid-block and would recover by its end
+    yield MatrixSet((1e-200 * eye, 1e200 * eye)), drift_up, 200
+    # entries near 1e150: the bounds force the in-block rescale
+    yield (MatrixSet((1e-150 * np.array([[0.2, 1.0], [1.0, 0.1]]),
+                      1e150 * np.array([[1.0, 0.5], [-0.3, 2.0]]))),
+           drift_up, 200)
+    # a singular matrix: no lower bound, so the in-block rescale again
+    yield (MatrixSet((np.array([[1.0, 2.0], [0.5, 1.0]]),
+                      np.array([[0.3, -1.0], [0.9, 0.4]]))), drift_up, 200)
+    yield (MatrixSet((np.array([[0.9, 0.4], [-0.2, 1.1]]),)),
+           MarkovChainSpec.uniform(1, seed=2), 50)
+    yield random_matrix_set(rng, dim=3, size=2), drift_up, 1
+    # several chunks, a partial last block, absorption in the last chunk
+    yield (random_matrix_set(np.random.default_rng(5), dim=3, size=3).scaled(0.43),
+           MarkovChainSpec.uniform(3, seed=6), 1100)
+
+
+@pytest.mark.parametrize(
+    "case", range(6), ids=["sink", "huge", "singular", "ell1", "horizon1", "chunks"]
+)
+def test_blocked_products_match_per_trial_reference(case):
+    ms, chain, horizon = list(_blocked_cases())[case]
+    lam, steps = _reference_markov(ms, chain, horizon=horizon, trials=12)
+    est = markov_lyapunov(ms, chain, horizon=horizon, trials=12)
+    assert est.absorption_steps == steps
+    assert abs(est.lambda_hat - lam) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [{"horizon": 2.5}, {"horizon": True},
+                                 {"trials": 8.0}, {"trials": False}])
+def test_markov_lyapunov_rejects_non_integer_counts(diag_set, bad):
+    # horizon=2.5 used to raise a raw TypeError from range()
+    with pytest.raises(InputError):
+        markov_lyapunov(diag_set, MarkovChainSpec.uniform(2), **bad)
+
+
+def test_markov_lyapunov_accepts_numpy_integers(diag_set):
+    chain = MarkovChainSpec.uniform(2, seed=3)
+    a = markov_lyapunov(diag_set, chain, horizon=np.int64(40), trials=np.int32(4))
+    b = markov_lyapunov(diag_set, chain, horizon=40, trials=4)
+    assert (a.horizon, a.trials) == (40, 4)
+    assert type(a.horizon) is int
+    assert a.lambda_hat == b.lambda_hat
 
 
 def test_scale_equivariance_of_exponent():
