@@ -121,8 +121,11 @@ def path_log_norms(stack: np.ndarray, chunks, trials: int, floor: float):
     g = max(0, max_i ln||A_i||_inf).  A trial whose bound stays at least 1
     above the floor cannot have been absorbed in the block.  Every other
     trial is replayed step by step from the block's start with the
-    per-step rule, so absorption steps are those of a step-by-step
-    product.  Transient memory is one chunk's symbols and block products.
+    per-step rule.  Absorption steps are thus those of a step-by-step
+    product up to rounding at the floor: the block-start product comes
+    from blocked matmuls, so a norm within rounding of ``exp(floor)`` may
+    be absorbed a step earlier or later.  Transient memory is one chunk's
+    symbols and block products.
     """
     ell, d = stack.shape[:2]
     eye = np.eye(d, dtype=stack.dtype)

@@ -352,6 +352,10 @@ def minimal_set_diagnostic(approx: MatherApprox) -> MinimalSetDiagnostic:
     return MinimalSetDiagnostic(kind="MultipleSCC", count=len(comps))
 
 
+# one-symbol extensions find_extremal_prefix may evaluate before it gives up
+_PREFIX_BUDGET = 20_000
+
+
 def find_extremal_prefix(
     ms: MatrixSet,
     norm: NormModel,
@@ -359,7 +363,6 @@ def find_extremal_prefix(
     length: int,
     eps: float = 5e-3,
     window: int = 3,
-    budget: int = 20_000,
 ) -> tuple:
     """Depth-first search for one length-N word whose prefixes all survive.
 
@@ -367,15 +370,13 @@ def find_extremal_prefix(
     whose new trailing window already occurred earlier in the prefix are
     preferred, with lexicographic order breaking ties.  Exhaustion raises
     an inconsistency error with the same semantics as a build failure.
-    The search evaluates at most ``budget`` one-symbol extensions and
-    raises ``ResourceCapError`` when it needs more.
+    The search evaluates at most ``_PREFIX_BUDGET`` one-symbol extensions
+    and raises ``ResourceCapError`` when it needs more.
     """
     if length < 1:
         raise InputError("length must be >= 1")
     if rho_hat <= 0.0:
         raise InputError("rho_hat must be positive")
-    if budget < 1:
-        raise InputError("budget must be >= 1")
     logr = math.log(rho_hat)
     floor = math.log1p(-eps)
     ell = len(ms)
@@ -403,6 +404,7 @@ def find_extremal_prefix(
 
     eye = np.eye(ms.dim, dtype=np.complex128)
     stack = [((), eye, 0.0, ordered_symbols(()))]
+    budget = _PREFIX_BUDGET
     while stack:
         word, p, ls, pending = stack[-1]
         if len(word) == length:

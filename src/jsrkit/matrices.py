@@ -63,6 +63,10 @@ class MatrixSet:
     def __setattr__(self, name, value):
         raise AttributeError(f"MatrixSet is immutable; cannot set {name!r}")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not setattr
+        return MatrixSet, (self._stack, self.labels)
+
     def __repr__(self) -> str:
         return f"MatrixSet({self.matrices!r}, labels={self.labels!r})"
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as jsr_bounds
-from .cocycle import _BLOCK, path_log_norms
+from .cocycle import path_log_norms
 from .errors import InputError
 from .matrices import MatrixSet
 
@@ -31,6 +31,7 @@ __all__ = [
 
 _ABSORPTION_FLOOR = math.log(1e-300)
 _CHUNK_STEPS = 256  # uniforms drawn per trial, and path steps held, at a time
+_STATE_BLOCK = 16  # steps whose state tables compose into one map; divides _CHUNK_STEPS
 
 
 class MarkovChainSpec:
@@ -62,6 +63,10 @@ class MarkovChainSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MarkovChainSpec is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not setattr
+        return MarkovChainSpec, (self.transition, self.initial, self.seed)
 
     def __repr__(self) -> str:
         return (
@@ -141,9 +146,9 @@ def _simulate_paths(chain: MarkovChainSpec, horizon: int, trials: int):
     A chunk is worked out from tables, not step by step: the uniforms of
     each step give its next state from every current state at once (step 0
     maps every state to the initial draw).  The tables are composed over
-    blocks of ``_BLOCK`` steps, the composed maps carry the state from block
-    start to block start, and each block is then filled in from its start:
-    about 3 * ``_BLOCK`` flat lookups per chunk.
+    blocks of ``_STATE_BLOCK`` steps, the composed maps carry the state from
+    block start to block start, and each block is then filled in from its
+    start: about 3 * ``_STATE_BLOCK`` flat lookups per chunk.
     """
     rngs = [
         np.random.Generator(
@@ -172,32 +177,32 @@ def _chunk_states(rngs, n: int, cdf: np.ndarray, start, state: np.ndarray):
     trials, ell = len(rngs), len(cdf)
     stride = np.intp(trials)  # a strong integer type: no uint8 wrap-around
     lanes = np.arange(trials)
-    blocks = -(-n // _BLOCK)
+    blocks = -(-n // _STATE_BLOCK)
     # a partial block ends only the last chunk: what its padding steps
     # give is cut off, and the state after it is never read
-    u = np.zeros((blocks * _BLOCK, trials))
+    u = np.zeros((blocks * _STATE_BLOCK, trials))
     for t, rng in enumerate(rngs):
         u[:n, t] = rng.random(n)
-    u = u.reshape(blocks, _BLOCK, 1, trials).transpose(1, 0, 2, 3)
+    u = u.reshape(blocks, _STATE_BLOCK, 1, trials).transpose(1, 0, 2, 3)
     # table[j, b, s, t]: trial t's state after step j of block b from s.
     # searchsorted's right index is the count of cumulative entries <= u;
     # the last entry of a row is 1 > u and never counts
-    table = np.zeros((_BLOCK, blocks, ell, trials), state.dtype)
+    table = np.zeros((_STATE_BLOCK, blocks, ell, trials), state.dtype)
     for column in cdf[:, :-1].T:
         table += column[:, None] <= u
     if start is not None:
         table[0, 0] = np.searchsorted(start, u[0, 0, 0], side="right")
-    flat = table.reshape(_BLOCK, -1)
+    flat = table.reshape(_STATE_BLOCK, -1)
     base = np.arange(blocks)[:, None] * (ell * stride) + lanes  # (blocks, trials)
     through = table[0]  # each block's map from its entry state so far
-    for j in range(1, _BLOCK):
+    for j in range(1, _STATE_BLOCK):
         through = np.take(flat[j], through * stride + base[:, None])
     entry = np.empty((blocks, trials), state.dtype)
     for b in range(blocks):
         entry[b] = state
         state = np.take(through[b], state * stride + lanes)
-    states = np.empty((_BLOCK, blocks, trials), state.dtype)
-    for j in range(_BLOCK):
+    states = np.empty((_STATE_BLOCK, blocks, trials), state.dtype)
+    for j in range(_STATE_BLOCK):
         entry = states[j] = np.take(flat[j], entry * stride + base)
     return states.transpose(1, 0, 2).reshape(-1, trials)[:n], state
 
@@ -213,15 +218,15 @@ def markov_lyapunov(
     All trials advance together through the horizon in chunks of
     ``_CHUNK_STEPS`` steps, in float64 when the set is real: the chunk's
     symbols come from ``_simulate_paths`` and its products from
-    ``path_log_norms``, which multiplies blocks of ``_BLOCK`` steps in
+    ``path_log_norms``, which multiplies blocks of 16 steps in
     batched passes and replays step by step only the blocks in which a
     trial may have been absorbed.  Peak memory is one chunk's symbols and
     block products, whatever the horizon.  Each trial has its own seeded
     stream, so its outcome does not depend on the number of trials.  A
     trial whose product norm reaches exact zero (or underflows below
     1e-300 in true value) counts as absorbed and contributes its
-    absorption step, the same as a step-by-step product's, instead of a
-    rate sample.
+    absorption step (that of a step-by-step product, up to rounding at the
+    floor) instead of a rate sample.
     """
     if chain.states != len(ms):
         raise InputError("chain state count must match the matrix set")

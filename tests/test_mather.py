@@ -3,7 +3,6 @@ import pytest
 
 from jsrkit import (
     InconsistencyError,
-    InputError,
     MatrixSet,
     NormModel,
     ResourceCapError,
@@ -111,17 +110,17 @@ def test_find_extremal_prefix_balanced_frequency(shear_pair):
     assert 0.3 <= freq <= 0.7
 
 
-def test_find_extremal_prefix_stops_at_its_budget():
+def test_find_extremal_prefix_stops_at_its_budget(monkeypatch):
     # every prefix survives up to length ~50 at this rate, so the search
     # used to backtrack through 2**50 words without end
     ms = MatrixSet((np.eye(2), np.eye(2)))
     with pytest.raises(ResourceCapError):
         find_extremal_prefix(ms, NormModel.sup(2), 1.0001, 60)
-    with pytest.raises(InputError):
-        find_extremal_prefix(ms, NormModel.sup(2), 1.0, 4, budget=0)
-    assert find_extremal_prefix(ms, NormModel.sup(2), 1.0, 4, budget=4) == (1,) * 4
+    monkeypatch.setattr(mather, "_PREFIX_BUDGET", 4)
+    assert find_extremal_prefix(ms, NormModel.sup(2), 1.0, 4) == (1,) * 4
+    monkeypatch.setattr(mather, "_PREFIX_BUDGET", 3)
     with pytest.raises(ResourceCapError):
-        find_extremal_prefix(ms, NormModel.sup(2), 1.0, 4, budget=3)
+        find_extremal_prefix(ms, NormModel.sup(2), 1.0, 4)
 
 
 def _criterion5_case(k):

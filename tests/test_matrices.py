@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,17 @@ def test_matrix_set_is_immutable_and_owns_its_data():
     stack = ms.stack()
     stack[0, 0, 0] = 5.0  # a copy: the set is unchanged
     assert ms.matrix(1)[0, 0] == 3.0
+
+
+def test_matrix_set_survives_copy_and_pickle():
+    ms = MatrixSet((np.diag([3.0, 1.0]), np.array([[0.0, 1j], [1.0, 0.0]])), ("a", "b"))
+    for again in (copy.copy(ms), copy.deepcopy(ms), pickle.loads(pickle.dumps(ms))):
+        assert isinstance(again, MatrixSet)
+        assert again.labels == ("a", "b")
+        assert np.array_equal(again.stack(), ms.stack())
+        assert not again.matrix(1).flags.writeable
+        with pytest.raises(AttributeError):
+            again.labels = ("x", "y")
 
 
 def test_scaled_set():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -49,6 +51,18 @@ def test_chain_spec_is_immutable_and_owns_its_data():
     assert not chain.initial.flags.writeable
     with pytest.raises(AttributeError):
         chain.seed = 4
+
+
+def test_chain_spec_survives_copy_and_pickle():
+    chain = MarkovChainSpec(np.array([[0.5, 0.5], [0.25, 0.75]]), np.array([0.3, 0.7]), seed=3)
+    for again in (copy.copy(chain), copy.deepcopy(chain), pickle.loads(pickle.dumps(chain))):
+        assert isinstance(again, MarkovChainSpec)
+        assert again.seed == 3
+        assert np.array_equal(again.transition, chain.transition)
+        assert np.array_equal(again.initial, chain.initial)
+        assert not again.transition.flags.writeable
+        with pytest.raises(AttributeError):
+            again.seed = 4
 
 
 def test_uniform_chain_is_full():
