@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import _rescale_batch, periodic_values
+from .cocycle import _extend, _log_norms, _rates, periodic_values
 from .errors import InputError, ResourceCapError
-from .matrices import MatrixSet, _eigvals, _op_norms
+from .matrices import MatrixSet
 from .words import normalize_periodic
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "estimate",
 ]
 
-DEFAULT_PRODUCT_CAP = 2**20
+_PRODUCT_CAP = 2**20  # products upper_bound_at_depth may build at most
 _CUT_MARGIN = 1e-9  # relative slack (in logs) on upper_bound_at_depth's cut
 
 
@@ -47,82 +47,55 @@ class JsrBounds:
         return self.upper - self.lower
 
 
-def _next_level(stack: np.ndarray, products: np.ndarray, logs: np.ndarray):
-    """Left-multiply each scaled product by each matrix (symbol-major), then
-    rescale each child by 2**-ceil(log2 max-entry) into its log scale."""
-    products = np.concatenate([a @ products for a in stack])
-    logs = np.tile(logs, len(stack))
-    m = np.max(np.abs(products), axis=(1, 2))
-    nz = m > 0.0
-    e = np.zeros_like(m)
-    e[nz] = np.ceil(np.log2(m[nz]))
-    products[nz] *= 2.0 ** -e[nz, None, None]
-    return products, logs + e * math.log(2.0)
-
-
-def _log_norms(products: np.ndarray, logs: np.ndarray, norm: str) -> np.ndarray:
-    """Log of the chosen submultiplicative norm of each scaled product."""
-    if norm == "op":
-        norms = _op_norms(products)
-    else:
-        # d * max-entry is submultiplicative, unlike the bare max entry.
-        norms = products.shape[1] * np.max(np.abs(products), axis=(1, 2))
-    with np.errstate(divide="ignore"):
-        lognorms = np.where(norms > 0.0, np.log(np.maximum(norms, 1e-300)), -np.inf)
-    return lognorms + logs
-
-
-def upper_bound_at_depth(
-    ms: MatrixSet, depth: int, norm: str = "op", cap: int = DEFAULT_PRODUCT_CAP
-) -> float:
+def upper_bound_at_depth(ms: MatrixSet, depth: int, norm: str = "op") -> float:
     """Exact sup over all length-``depth`` products of norm(L)**(1/depth).
 
     Valid as an upper bound on the joint spectral radius for any
     submultiplicative norm; the sequence of depth-n values converges to it
-    from above.
+    from above.  ``norm`` is ``op`` or ``max`` (d times the max-entry
+    norm).  Raises ``ResourceCapError`` before building anything when
+    ell**depth exceeds ``_PRODUCT_CAP``.
 
     A branch-and-bound over the product tree gives the same float as
     enumerating all ell**n products.  Every length-n product is S·P with
     |P| = k, so norm(S·P) <= M[n-k]·norm(P), M[j] the exact depth-j
-    maximum.  Levels 1..h = ceil(n/2) are built in full and give M[1..n-h];
-    the incumbent is the best of the full subtree below the top level-h
-    prefix.  From level h on, a prefix is extended only if its split bound
-    reaches the incumbent less a relative margin of ``_CUT_MARGIN`` (in
-    logs), far above the rounding in the bound.  A product's bits depend
-    only on its own chain of multiplications and power-of-two rescales,
-    and norms are taken matrix by matrix, so the maximum over the kept
-    products is the full enumeration's maximum.
+    maximum.  Levels 1..h = ceil(n/2) are built in full from the identity
+    (``cocycle._extend``) and give M[1..n-h]; the incumbent is the best of
+    the full subtree below the top level-h prefix.  From level h on, a
+    prefix is extended only if its split bound reaches the incumbent less
+    a relative margin of ``_CUT_MARGIN`` (in logs), far above the rounding
+    in the bound.  A product's bits depend only on its own chain of
+    multiplications and power-of-two rescales, and norms are taken matrix
+    by matrix, so the maximum over the kept products is the full
+    enumeration's maximum, and the last level of ``word_log_norms``.  The
+    root exp(max/n) is rounded up one ulp (0 stays 0): to nearest,
+    exp(log(3**5)/5) is 2.9999999999999996, below an exact radius 3.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
     ell = len(ms)
-    if ell**depth > cap:
-        raise ResourceCapError(f"{ell}**{depth} products exceed the cap of {cap}")
-    if norm not in ("op", "max"):
-        raise InputError(f"unknown norm {norm!r}; use 'op' or 'max'")
+    if ell**depth > _PRODUCT_CAP:
+        raise ResourceCapError(f"{ell}**{depth} products exceed the cap of {_PRODUCT_CAP}")
     stack = ms.stack()
     half = (depth + 1) // 2
-    products, logs = stack.copy(), np.zeros(ell)
-    lognorms = _log_norms(products, logs, norm)
-    peak = [-math.inf, np.max(lognorms)]  # peak[j] = M[j]
-    for _ in range(half - 1):
-        products, logs = _next_level(stack, products, logs)
+    products, logs = np.eye(ms.dim, dtype=np.complex128)[None], np.zeros(1)
+    peak = [-math.inf]  # peak[j] = M[j]
+    for _ in range(half):
+        products, logs, _ = _extend(stack, products, logs)
         lognorms = _log_norms(products, logs, norm)
         peak.append(np.max(lognorms))
     top = int(np.argmax(lognorms))
     sub, sub_logs = products[top : top + 1], logs[top : top + 1]
     for _ in range(depth - half):
-        sub, sub_logs = _next_level(stack, sub, sub_logs)
+        sub, sub_logs, _ = _extend(stack, sub, sub_logs)
     best = np.max(_log_norms(sub, sub_logs, norm))
     floor = best - _CUT_MARGIN * max(1.0, abs(best))
     for k in range(half, depth):
         keep = lognorms + peak[depth - k] >= floor
-        products, logs = _next_level(stack, products[keep], logs[keep])
+        products, logs, _ = _extend(stack, products[keep], logs[keep])
         lognorms = _log_norms(products, logs, norm)
-    best = np.max(lognorms, initial=best)
-    if best == -math.inf:
-        return 0.0
-    return float(math.exp(best / depth))
+    root = math.exp(np.max(lognorms, initial=best) / depth)
+    return math.nextafter(root, math.inf) if root > 0.0 else 0.0
 
 
 def lower_bound_periodic(ms: MatrixSet, max_period: int):
@@ -155,45 +128,35 @@ def estimate(
     branches), which is the reported upper bound.
 
     Each level of the tree is one batched step over the frontier, a
-    (F, d, d) stack of scaled products: one matmul extends it by every
-    symbol (children entry-major, then by symbol), and one eigensolver and
-    one SVD call evaluate the new level.  ``stop_reason`` names the first
-    check that ended the sweep: ``frontier_empty``, ``gap``, ``max_depth``
-    or ``budget``.  The result is deterministic given the arguments.
+    (F, d, d) stack of scaled products: ``cocycle._extend`` extends it by
+    every symbol (children entry-major, then by symbol), and ``_rates`` and
+    ``_log_norms`` read the new level with one eigensolver and one SVD
+    call.  ``stop_reason`` names the first check that ended the sweep:
+    ``frontier_empty``, ``gap``, ``max_depth`` or ``budget``.  The result
+    is deterministic given the arguments.
     """
     if not target_gap > 0.0:  # NaN included
         raise InputError("target_gap must be > 0")
     if max_depth < 1:
         raise InputError("max_depth must be >= 1")
     slack = target_gap / 2.0
-    ell, d = len(ms), ms.dim
+    ell = len(ms)
     stack = ms.stack()
     symbols = np.arange(1, ell + 1, dtype=np.min_scalar_type(ell))
 
+    # level 1 is the raw matrices: unscaled, so _rates keeps their radii
     products, log_scale = stack.copy(), np.zeros(ell)
     words, log_beta = symbols[:, None], np.full(ell, math.inf)
     lower, witness, evaluations, depth = 0.0, None, ell, 1
     pruned_max = -math.inf  # max log-beta among cut branches
     stop_reason = None
     while stop_reason is None:
-        radii = np.abs(_eigvals(products)).max(axis=1).tolist()
-        norms = _op_norms(products).tolist()
-        scales = log_scale.tolist()
-        # scalar log/exp: numpy's differ from them in the last bit; the
-        # single matrices keep their raw spectral radii
-        if depth > 1:
-            radii = [
-                math.exp((math.log(r) + s) / depth) if r > 0.0 else 0.0
-                for r, s in zip(radii, scales)
-            ]
+        radii = _rates(products, log_scale, depth)
         best = max(radii, default=0.0)
         if best > lower:  # the first strict maximum in child order
             lower = best
             witness = normalize_periodic(words[radii.index(best)].tolist())
-        log_beta = np.minimum(log_beta, [
-            (math.log(x) + s) / depth if x > 0.0 else -math.inf
-            for x, s in zip(norms, scales)
-        ])
+        log_beta = np.minimum(log_beta, _log_norms(products, log_scale, "op") / depth)
 
         live = log_beta > math.log(lower + slack)
         pruned_max = max(pruned_max, float(log_beta[~live].max(initial=-math.inf)))
@@ -210,17 +173,14 @@ def estimate(
         elif evaluations + len(log_beta) * ell > budget:
             stop_reason = "budget"
         else:
-            products = (stack[None] @ products[:, None]).reshape(-1, d, d)
+            products, log_scale, m = _extend(stack, products, log_scale)
             evaluations += len(products)
-            m = np.abs(products).max(axis=(1, 2))
             nonzero = m > 0.0  # a zero product: the branch dies with rate 0
-            products, m = products[nonzero], m[nonzero]
-            log_scale = np.repeat(log_scale, ell)[nonzero]
+            products, log_scale = products[nonzero], log_scale[nonzero]
             log_beta = np.repeat(log_beta, ell)[nonzero]
             words = np.hstack([
                 np.repeat(words, ell, axis=0), np.tile(symbols, len(words))[:, None]
             ])[nonzero]
-            _rescale_batch(products, log_scale, m)
             depth += 1
 
     return JsrBounds(

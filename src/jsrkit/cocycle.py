@@ -6,9 +6,21 @@ The joint spectral radius does not depend on this orientation, but the
 growth-maximising sequence semantics do, so the convention is fixed here
 once and used everywhere.
 
-Products are kept in a scaled representation ``product * exp(log_scale)``
-with the max-entry norm of ``product`` held near [2**-32, 2**32]; the
-rescale factors are exact powers of two so the log bookkeeping is exact.
+Products are kept in a scaled representation ``product * exp(log_scale)``.
+There is one rescale rule, and only this module applies it: after each
+multiplication, a product whose max-entry norm m has frexp exponent e
+(m in [2**(e-1), 2**e)) with |e| > 32 is multiplied by 2**-e and e*ln 2
+is added to its log scale.  The factors are exact powers of two, so the
+log bookkeeping is exact.  ``_rescale`` applies it to one product (the
+per-word loops), ``_rescale_batch`` to a stack.
+
+Product-tree levels are built and read only here, by three helpers that
+``bounds``, ``reducibility`` and ``subadditive`` share:
+
+- ``_extend``: every one-symbol extension of a level, rescaled;
+- ``_log_norms``: log of the ``op`` or ``max`` norm of each true product
+  (``_check_norm`` rejects any other name);
+- ``_rates``: rho(L(w))**(1/|w|) of each true product.
 """
 
 from __future__ import annotations
@@ -79,6 +91,59 @@ def _rescale_batch(products: np.ndarray, log_scale: np.ndarray, m: np.ndarray):
     if big.any():
         products[big] *= np.ldexp(1.0, -e[big])[:, None, None]
         log_scale[big] += e[big] * _LN2
+
+
+def _extend(stack: np.ndarray, products: np.ndarray, log_scale: np.ndarray):
+    """Every one-symbol extension of a level of scaled products.
+
+    Children come parent-major, then by symbol, so a level in
+    lexicographic word order stays in it.  Each child is rescaled by
+    ``_rescale_batch``.  Returns ``(children, log_scale, m)`` with m their
+    max-entry norms before the rescale (0 for a zero product).
+    """
+    ell, d = stack.shape[:2]
+    children = (stack[None] @ products[:, None]).reshape(-1, d, d)
+    log_scale = np.repeat(log_scale, ell)
+    m = np.abs(children).max(axis=(1, 2))
+    _rescale_batch(children, log_scale, m)
+    return children, log_scale, m
+
+
+def _check_norm(norm: str):
+    """Reject a norm name other than ``op`` or ``max``."""
+    if norm not in ("op", "max"):
+        raise InputError(f"unknown norm {norm!r}; use 'op' or 'max'")
+
+
+def _log_norms(products: np.ndarray, log_scale: np.ndarray, norm: str) -> np.ndarray:
+    """log norm(true product) of each scaled product; -inf for a zero one.
+
+    ``norm`` is ``op`` (largest singular value) or ``max`` (d times the
+    max-entry norm, which unlike the bare max entry is submultiplicative).
+    """
+    _check_norm(norm)
+    if norm == "op":
+        value = _op_norms(products)
+    else:
+        value = float(products.shape[1]) * np.abs(products).max(axis=(1, 2))
+    # scalar log: numpy's vectorised one can differ in the last bit
+    logs = (math.log(v) if v > 0.0 else -math.inf for v in value.tolist())
+    return np.fromiter(logs, np.float64, len(value)) + log_scale
+
+
+def _rates(products: np.ndarray, log_scale: np.ndarray, n: int) -> list:
+    """rho(true product)**(1/n) of each scaled product of length-n words.
+
+    0 for a nilpotent product.  An unscaled single matrix (n = 1, log
+    scale 0) keeps its raw spectral radius, which exp(log(r)) may miss by
+    an ulp.
+    """
+    radii = np.abs(_eigvals(products)).max(axis=1)
+    # scalar log/exp: numpy's differ from them in the last bit
+    return [
+        math.exp((math.log(r) + s) / n) if r > 0.0 and (n > 1 or s != 0.0) else r
+        for r, s in zip(radii.tolist(), log_scale.tolist())
+    ]
 
 
 def _step(factor: np.ndarray, product: np.ndarray, log_scale: np.ndarray, floor: float):
@@ -191,9 +256,9 @@ def periodic_values(ms: MatrixSet, max_period: int) -> list:
     Words come in (period, lex) order, as in ``words.primitive_necklaces``.
     Products are built level by level over the necklaces' prefix trie, so a
     shared prefix is multiplied once: one batched matmul per level, rescaled
-    as in ``evaluate``, and one eigensolver call per period.  Each value is
-    bit for bit the one ``evaluate`` and ``spectral_radius`` give; 0 for a
-    nilpotent product.
+    as in ``evaluate``, and one eigensolver call per period, read by
+    ``_rates``.  Each value is bit for bit the one ``evaluate`` and
+    ``spectral_radius`` give; 0 for a nilpotent product.
     """
     levels, periods = necklace_trie(len(ms), max_period)
     stack = ms.stack()
@@ -204,10 +269,7 @@ def periodic_values(ms: MatrixSet, max_period: int) -> list:
         product = stack[symbol] @ product[parent]
         log_scale = log_scale[parent]
         _rescale_batch(product, log_scale, np.abs(product).max(axis=(1, 2)))
-        radii = np.abs(_eigvals(product[nodes])).max(axis=1)
-        for w, r, ls in zip(words, radii.tolist(), log_scale[nodes].tolist()):
-            # scalar log/exp: numpy's differ from them in the last bit
-            out.append((w, math.exp((math.log(r) + ls) / n) if r > 0.0 else 0.0))
+        out.extend(zip(words, _rates(product[nodes], log_scale[nodes], n)))
     return out
 
 
@@ -216,35 +278,22 @@ def word_log_norms(ms: MatrixSet, depth: int, norm: str = "op"):
 
     Returns an iterator of one list per n, in ``enumerate_words``
     lexicographic order, with -inf for a zero product.  ``norm`` is ``op``
-    (largest singular value) or ``max`` (d times the max-entry norm).  The
-    words of length n are one level of the product tree: one batched matmul
-    over the level before, rescaled as in ``evaluate``, and one batched
-    norm.  Each value is bit for bit log(norm of ``evaluate``'s product)
-    plus its log scale.  Only one level of ell**n products is held at a
-    time, so peak memory is the last level's.
+    (largest singular value) or ``max`` (d times the max-entry norm),
+    checked before the iterator is returned.  The words of length n are
+    one level of the product tree (``_extend``) read by ``_log_norms``.
+    Each value is bit for bit log(norm of ``evaluate``'s product) plus its
+    log scale.  Only one level of ell**n products is held at a time, so
+    peak memory is the last level's.
     """
-    if norm not in ("op", "max"):
-        raise InputError(f"unknown norm {norm!r}; use 'op' or 'max'")
+    _check_norm(norm)
     stack = ms.stack()
-    ell, d = stack.shape[:2]
 
     def levels():
-        product = np.eye(d, dtype=np.complex128)[None]
+        product = np.eye(ms.dim, dtype=np.complex128)[None]
         log_scale = np.zeros(1)
         for _ in range(depth):
-            # children parent-major, then by symbol: lexicographic order
-            product = (stack[None] @ product[:, None]).reshape(-1, d, d)
-            log_scale = np.repeat(log_scale, ell)
-            _rescale_batch(product, log_scale, np.abs(product).max(axis=(1, 2)))
-            if norm == "op":
-                value = _op_norms(product)
-            else:
-                value = float(d) * np.abs(product).max(axis=(1, 2))
-            # scalar log: numpy's vectorised one can differ in the last bit
-            yield [
-                math.log(v) + s if v > 0.0 else -math.inf
-                for v, s in zip(value.tolist(), log_scale.tolist())
-            ]
+            product, log_scale, _ = _extend(stack, product, log_scale)
+            yield _log_norms(product, log_scale, norm).tolist()
 
     return levels()
 

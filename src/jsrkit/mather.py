@@ -19,10 +19,10 @@ import numpy as np
 
 from . import reducibility
 from .bounds import JsrBounds, estimate
-from .cocycle import _rescale, evaluate, prefix_values
+from .cocycle import _rates, _rescale, evaluate
 from .errors import InconsistencyError, InputError, NumericalError, ResourceCapError
-from .matrices import MatrixSet, spectral_radius
-from .norms import NormModel, candidate_norms, check_extremal
+from .matrices import MatrixSet
+from .norms import NormModel, candidate_norms, check_extremal, classify_extremality
 from .norms import barabanov_iterate, extremal_norm_2d
 from .words import WordGraph, strongly_connected_components
 
@@ -57,18 +57,25 @@ class MatherApprox:
         return self.depths[-1]
 
     def trace(self, w) -> list:
-        """nu(L(w, m))/rho_hat**m for m = 1..|w| (recomputed)."""
-        out = []
-        logr = math.log(self.rho_hat)
-        for cv in prefix_values(self.matrix_set, w):
-            nu = self.norm.induced(cv.product)
-            lognu = math.log(nu) + cv.log_scale if nu > 0.0 else -math.inf
-            out.append(math.exp(lognu - len(cv.word) * logr))
-        return out
+        """nu(L(w, m))/rho_hat**m for m = 1..|w| (recomputed): the ratio
+        trace of ``norms.classify_extremality``."""
+        return classify_extremality(self.matrix_set, self.norm, self.rho_hat, w)[1]
 
     def is_full_language(self, depth: int = None) -> bool:
         depth = self.max_depth if depth is None else depth
         return len(self.survivors[depth]) == len(self.matrix_set) ** depth
+
+
+def _survivor_step(ms, norm, p, ls, i, n, logr, floor):
+    """Extend the scaled product (p, ls) of a length-(n-1) word by symbol i.
+
+    Returns ``(product, log_scale, log ratio)`` with the log ratio
+    log(nu(L)/rho_hat**n), or None when that ratio is below ``floor``.
+    """
+    p, ls = _rescale(ms.matrix(i) @ p, ls)
+    nu = norm.induced(p)
+    lognu = math.log(nu) + ls - n * logr if nu > 0.0 else -math.inf
+    return (p, ls, lognu) if lognu >= floor else None
 
 
 def build_mather_approx(
@@ -100,36 +107,20 @@ def build_mather_approx(
     ell = len(ms)
     min_ratio_log = math.inf
 
-    # level entries: word -> (scaled product, log_scale)
-    level = {}
-    for i in range(1, ell + 1):
-        a = ms.matrix(i)
-        nu = norm.induced(a)
-        lognu = math.log(nu) - logr if nu > 0.0 else -math.inf
-        if lognu >= floor:
-            level[(i,)] = (a.copy(), 0.0)
-            min_ratio_log = min(min_ratio_log, lognu)
-    survivors = {1: frozenset(level)}
-    if not level:
-        raise InconsistencyError(
-            "no length-1 word survives; rho_hat is too high or tol too tight"
-        )
-    for n in range(2, max_depth + 1):
+    # level entries: word -> (scaled product, log_scale), from the empty word
+    level = {(): (np.eye(ms.dim, dtype=np.complex128), 0.0)}
+    survivors = {}
+    for n in range(1, max_depth + 1):
         new_level = {}
-        prev = survivors[n - 1]
         for w, (p, ls) in level.items():
             for i in range(1, ell + 1):
                 nw = w + (i,)
-                if nw[1:] not in prev:
+                if nw[1:] not in level:  # the shift of a survivor survives
                     continue
-                np_, nls = _rescale(ms.matrix(i) @ p, ls)
-                nu = norm.induced(np_)
-                lognu = (
-                    math.log(nu) + nls - n * logr if nu > 0.0 else -math.inf
-                )
-                if lognu >= floor:
-                    new_level[nw] = (np_, nls)
-                    min_ratio_log = min(min_ratio_log, lognu)
+                step = _survivor_step(ms, norm, p, ls, i, n, logr, floor)
+                if step is not None:
+                    new_level[nw] = step[:2]
+                    min_ratio_log = min(min_ratio_log, step[2])
         if not new_level:
             raise InconsistencyError(
                 f"survivor set empties at depth {n}; "
@@ -268,13 +259,17 @@ def certified_approx(
     return CertifiedApprox(approx, est, source, triangularised, retried)
 
 
-def recurrent_ratio_check(approx: MatherApprox, cycle_cap: int = 20000) -> dict:
+# simple cycles recurrent_ratio_check examines at most
+_CYCLE_CAP = 20_000
+
+
+def recurrent_ratio_check(approx: MatherApprox) -> dict:
     """Spectral-radius ratios of cycles in the survivor graph.
 
     Every point of the maximising set is recurrent, so some cycle of the
     survivor graph should achieve spectral_radius(L(c))**(1/|c|) close to
     rho_hat.  Walks the simple cycles of length <= max_depth in (period,
-    lex) order of their least rotations, up to ``cycle_cap`` of them and
+    lex) order of their least rotations, up to ``_CYCLE_CAP`` of them and
     stopping at the first to reach 1 - 10*tol; reports max ratio and pass.
     """
     ms = approx.matrix_set
@@ -285,16 +280,12 @@ def recurrent_ratio_check(approx: MatherApprox, cycle_cap: int = 20000) -> dict:
     for cycle in approx.graph.cycles(approx.max_depth):
         count += 1
         cv = evaluate(ms, cycle)
-        r = spectral_radius(cv.product)
-        ratio = (
-            math.exp((math.log(r) + cv.log_scale) / len(cycle)) / approx.rho_hat
-            if r > 0.0
-            else 0.0
-        )
+        rate = _rates(cv.product[None], np.array([cv.log_scale]), len(cycle))[0]
+        ratio = rate / approx.rho_hat
         if ratio > best:
             best = ratio
             best_cycle = cv.word
-        if best >= threshold or count >= cycle_cap:
+        if best >= threshold or count >= _CYCLE_CAP:
             break
     return {
         "max_ratio": best if count else None,
@@ -354,6 +345,8 @@ def minimal_set_diagnostic(approx: MatherApprox) -> MinimalSetDiagnostic:
 
 # one-symbol extensions find_extremal_prefix may evaluate before it gives up
 _PREFIX_BUDGET = 20_000
+# length of the trailing window find_extremal_prefix looks for a recurrence of
+_RECURRENCE_WINDOW = 3
 
 
 def find_extremal_prefix(
@@ -362,16 +355,17 @@ def find_extremal_prefix(
     rho_hat: float,
     length: int,
     eps: float = 5e-3,
-    window: int = 3,
 ) -> tuple:
     """Depth-first search for one length-N word whose prefixes all survive.
 
     Candidate symbols at each step are ordered recurrence-first: symbols
-    whose new trailing window already occurred earlier in the prefix are
-    preferred, with lexicographic order breaking ties.  Exhaustion raises
-    an inconsistency error with the same semantics as a build failure.
-    The search evaluates at most ``_PREFIX_BUDGET`` one-symbol extensions
-    and raises ``ResourceCapError`` when it needs more.
+    whose new trailing window of ``_RECURRENCE_WINDOW`` symbols already
+    occurred earlier in the prefix are preferred, with lexicographic order
+    breaking ties.  Each extension is the survival step of
+    ``build_mather_approx``.  Exhaustion raises an inconsistency error with
+    the same semantics as a build failure.  The search evaluates at most
+    ``_PREFIX_BUDGET`` one-symbol extensions and raises
+    ``ResourceCapError`` when it needs more.
     """
     if length < 1:
         raise InputError("length must be >= 1")
@@ -381,23 +375,13 @@ def find_extremal_prefix(
     floor = math.log1p(-eps)
     ell = len(ms)
 
-    def surviving(word, p, ls, i):
-        np_, nls = _rescale(ms.matrix(i) @ p, ls)
-        nu = norm.induced(np_)
-        lognu = math.log(nu) + nls - (len(word) + 1) * logr if nu > 0.0 else -math.inf
-        if lognu >= floor:
-            return np_, nls
-        return None
-
     def ordered_symbols(word):
         seen = {
-            word[j : j + window]
-            for j in range(len(word) - window + 1)
+            word[j : j + _RECURRENCE_WINDOW]
+            for j in range(len(word) - _RECURRENCE_WINDOW + 1)
         }
         recur = [
-            i
-            for i in range(1, ell + 1)
-            if len(word) + 1 >= window and (word + (i,))[-window:] in seen
+            i for i in range(1, ell + 1) if (word + (i,))[-_RECURRENCE_WINDOW:] in seen
         ]
         rest = [i for i in range(1, ell + 1) if i not in recur]
         return recur + rest
@@ -418,10 +402,10 @@ def find_extremal_prefix(
             )
         budget -= 1
         i = pending.pop(0)
-        nxt = surviving(word, p, ls, i)
-        if nxt is not None:
+        step = _survivor_step(ms, norm, p, ls, i, len(word) + 1, logr, floor)
+        if step is not None:
             nw = word + (i,)
-            stack.append((nw, nxt[0], nxt[1], ordered_symbols(nw)))
+            stack.append((nw, step[0], step[1], ordered_symbols(nw)))
     raise InconsistencyError(
         f"no length-{length} word survives at eps={eps}; "
         "rho_hat is too high or eps too tight"

@@ -49,6 +49,15 @@ class NormModel:
     ``weights`` (weighted_diag), ``vertices`` as an (m, d) array (polytope),
     or ``values`` as the length-m array of norm values on the uniform
     angular grid (angular_grid).
+
+    An angular grid need not bound a convex ball.  On one that does not,
+    ``vector`` and ``induced`` are not a norm's values: ``vector`` is the
+    gauge of the star-shaped polygon through the grid vertices (the star
+    gauge), and ``induced`` is the largest star gauge of A v over those
+    vertices.  Rates taken with them are still upper bounds.  The convex
+    hull of the vertices is the ball of a genuine norm, its vertices are
+    grid vertices, and its gauge is at most the star gauge, so ``induced``
+    bounds that norm's induced value from above.
     """
 
     kind: str

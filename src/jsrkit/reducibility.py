@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds as jsr_bounds
+from .bounds import estimate
+from .cocycle import _extend, _log_norms
 from .errors import InputError, NumericalError
 from .matrices import MatrixSet, max_entry_norm
 from .norms import barabanov_iterate, candidate_norms, check_extremal
@@ -27,6 +28,11 @@ __all__ = [
     "BoundednessVerdict",
     "product_boundedness",
 ]
+
+_SUBSPACE_ATTEMPTS = 12  # random span members tried for an eigenvector orbit
+_GROWTH_DEPTH = 64  # product length of the growth fit
+_GROWTH_BEAM = 256  # products kept per level of the growth fit
+_BOUNDED_TOL = 1e-6  # relative slack on the extremal-norm check
 
 
 def _algebra_rank(ms: MatrixSet, tol: float) -> int:
@@ -97,16 +103,14 @@ def _residual(ms: MatrixSet, basis: np.ndarray) -> float:
     )
 
 
-def find_common_invariant_subspace(
-    ms: MatrixSet, tol: float = 1e-8, seed: int = 0, attempts: int = 12
-):
+def find_common_invariant_subspace(ms: MatrixSet, tol: float = 1e-8, seed: int = 0):
     """Orthonormal basis of a proper common invariant subspace, or None.
 
     None is returned exactly when the generated algebra has full rank d*d
     (so no such subspace can exist).  Otherwise eigenvectors of random
-    members of the span of the set are tried; every invariant subspace
-    contains an eigenvector of each such member, so its orbit stays proper
-    for suitable starting vectors.
+    members of the span of the set are tried, ``_SUBSPACE_ATTEMPTS`` of
+    them; every invariant subspace contains an eigenvector of each such
+    member, so its orbit stays proper for suitable starting vectors.
     """
     d = ms.dim
     if d == 1:
@@ -114,7 +118,7 @@ def find_common_invariant_subspace(
     if _algebra_rank(ms, tol) == d * d:
         return None
     rng = np.random.default_rng(seed)
-    for attempt in range(attempts):
+    for attempt in range(_SUBSPACE_ATTEMPTS):
         if attempt == 0 and len(ms) == 1:
             r = ms.matrices[0]
         else:
@@ -237,19 +241,18 @@ class BoundednessVerdict:
     growth_exponent: float = None
 
 
-def product_boundedness(
-    ms: MatrixSet, depth: int = 64, tol: float = 1e-6, beam: int = 256
-) -> BoundednessVerdict:
+def product_boundedness(ms: MatrixSet) -> BoundednessVerdict:
     """Diagnose whether rho-normalised products stay uniformly bounded.
 
     First tries to certify Bounded with an extremal norm (fixed candidate
-    norms, then a Barabanov construction for irreducible real 2x2 sets).
-    Failing that, fits the growth of the largest normalised product norm
-    against depth on a log-log scale (beam search, so the fit is a lower
-    envelope): an exponent >= 0.5 is reported Unbounded, anything milder
-    Unknown.
+    norms, then a Barabanov construction for irreducible real 2x2 sets),
+    with a relative slack of ``_BOUNDED_TOL``.  Failing that, fits the
+    growth of the largest normalised product norm against depth on a
+    log-log scale, up to depth ``_GROWTH_DEPTH`` (beam search keeping
+    ``_GROWTH_BEAM`` products a level, so the fit is a lower envelope): an
+    exponent >= 0.5 is reported Unbounded, anything milder Unknown.
     """
-    est = jsr_bounds.estimate(ms, target_gap=1e-8, budget=200000, max_depth=24)
+    est = estimate(ms, target_gap=1e-8, budget=200000, max_depth=24)
     rho = est.lower
     if rho == 0.0:
         # every long product collapses; bounded in the scaled sense
@@ -258,7 +261,7 @@ def product_boundedness(
                 status="Bounded", depth=0, max_scaled_norm=0.0, certificate=None
             )
         return BoundednessVerdict(status="Unknown", depth=0, max_scaled_norm=math.inf)
-    slack = tol + max(est.gap / rho, 0.0)
+    slack = _BOUNDED_TOL + max(est.gap / rho, 0.0)
     for cand in candidate_norms(ms):
         ok, _ = check_extremal(cand, ms, rho, slack)
         if ok:
@@ -284,37 +287,27 @@ def product_boundedness(
     # growth fit on the rho-normalised beam maxima
     stack = ms.stack()
     logrho = math.log(rho)
-    products = stack.copy()
-    logs = np.zeros(len(ms))
+    products = np.eye(ms.dim, dtype=np.complex128)[None]
+    logs = np.zeros(1)
     s = []
-    for k in range(1, depth + 1):
-        if k > 1:
-            products, logs = jsr_bounds._next_level(stack, products, logs)
-        scores = jsr_bounds._log_norms(products, logs, "op") - k * logrho
+    for k in range(1, _GROWTH_DEPTH + 1):
+        products, logs, _ = _extend(stack, products, logs)
+        scores = _log_norms(products, logs, "op") - k * logrho
         s.append(float(np.max(scores)))
-        if scores.shape[0] > beam:
-            keep = np.argsort(-scores)[:beam]
+        if scores.shape[0] > _GROWTH_BEAM:
+            keep = np.argsort(-scores)[:_GROWTH_BEAM]
             products = products[keep]
             logs = logs[keep]
-    ks = np.arange(1, depth + 1, dtype=np.float64)
-    window = ks >= depth / 2.0
+    ks = np.arange(1, _GROWTH_DEPTH + 1, dtype=np.float64)
+    window = ks >= _GROWTH_DEPTH / 2.0
     y = np.array(s)[window]
     x = np.log(ks[window])
-    if np.max(y) <= math.log(1.0 + 10.0 * tol):
-        return BoundednessVerdict(
-            status="Unknown", depth=depth, max_scaled_norm=float(math.exp(max(s)))
-        )
-    gamma = float(np.polyfit(x, y, 1)[0])
-    if gamma >= 0.5:
-        return BoundednessVerdict(
-            status="Unbounded",
-            depth=depth,
-            max_scaled_norm=float(math.exp(max(s))),
-            growth_exponent=gamma,
-        )
+    gamma = None  # no fit while the normalised maxima stay flat
+    if np.max(y) > math.log(1.0 + 10.0 * _BOUNDED_TOL):
+        gamma = float(np.polyfit(x, y, 1)[0])
     return BoundednessVerdict(
-        status="Unknown",
-        depth=depth,
+        status="Unbounded" if gamma is not None and gamma >= 0.5 else "Unknown",
+        depth=_GROWTH_DEPTH,
         max_scaled_norm=float(math.exp(max(s))),
         growth_exponent=gamma,
     )

@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cocycle import evaluate, periodic_values, word_log_norms
+import numpy as np
+
+from .cocycle import _check_norm, _log_norms, evaluate, periodic_values, word_log_norms
 from .errors import InputError
-from .matrices import MatrixSet, max_entry_norm, operator_norm
+from .matrices import MatrixSet
 from .words import enumerate_words, primitive_necklaces
 
 __all__ = [
@@ -62,25 +64,18 @@ class SubadditiveObservable:
 def matrix_observable(ms: MatrixSet, norm: str = "op") -> SubadditiveObservable:
     """f_n(w) = log of a submultiplicative norm of the cocycle product.
 
-    Its ``level_values`` are ``cocycle.word_log_norms``: every word of a
-    length at once, with the evaluator's bits.
+    ``norm`` is ``op`` or ``max`` (d times the max-entry norm).  The
+    evaluator and the ``level_values`` (``cocycle.word_log_norms``, every
+    word of a length at once) read their products with the same
+    ``cocycle._log_norms``, so they agree to the bit.
     """
-    if norm == "op":
-        d = 1.0
-    elif norm == "max":
-        d = float(ms.dim)
-    else:
-        raise InputError(f"unknown norm {norm!r}; use 'op' or 'max'")
+    _check_norm(norm)
 
     def evaluator(w):
         if not w:
             return 0.0
         cv = evaluate(ms, w)
-        if norm == "op":
-            value = operator_norm(cv.product)
-        else:
-            value = d * max_entry_norm(cv.product)
-        return math.log(value) + cv.log_scale if value > 0.0 else -math.inf
+        return float(_log_norms(cv.product[None], np.array([cv.log_scale]), norm)[0])
 
     def periodic_rates(max_period):  # log rho(L(w))/|w|, the rate of w^k
         values = periodic_values(ms, max_period)

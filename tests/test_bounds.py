@@ -15,6 +15,7 @@ from jsrkit import (
     spectral_radius,
     upper_bound_at_depth,
 )
+from jsrkit.cocycle import word_log_norms
 from jsrkit.families import pair_family
 
 from conftest import GOLDEN, random_matrix_set
@@ -237,27 +238,27 @@ def test_estimate_matches_pinned_results(shear_pair):
 
 def _reference_upper_bound(ms, depth, norm):
     """The full enumeration of all ell**depth products that
-    ``upper_bound_at_depth`` prunes."""
+    ``upper_bound_at_depth`` prunes, built from the identity and rescaled
+    by the frexp rule of ``cocycle._rescale``; the root is rounded up by
+    one ulp."""
     stack = ms.stack()
-    products = stack.copy()
-    logs = np.zeros(len(ms))
-    for _ in range(depth - 1):
+    products = np.eye(ms.dim, dtype=np.complex128)[None]
+    logs = np.zeros(1)
+    for _ in range(depth):
         products = np.concatenate([a @ products for a in stack])
         logs = np.tile(logs, len(ms))
-        m = np.max(np.abs(products), axis=(1, 2))
-        nz = m > 0.0
-        e = np.zeros_like(m)
-        e[nz] = np.ceil(np.log2(m[nz]))
-        products[nz] *= 2.0 ** -e[nz, None, None]
-        logs += e * math.log(2.0)
+        e = np.frexp(np.max(np.abs(products), axis=(1, 2)))[1]
+        big = np.abs(e) > 32
+        products[big] *= 2.0 ** -e[big, None, None]
+        logs[big] += e[big] * math.log(2.0)
     if norm == "op":
         norms = np.linalg.norm(products, ord=2, axis=(1, 2))
     else:
         norms = ms.dim * np.max(np.abs(products), axis=(1, 2))
-    with np.errstate(divide="ignore"):
-        lognorms = np.where(norms > 0.0, np.log(np.maximum(norms, 1e-300)), -np.inf)
-    best = np.max(lognorms + logs)
-    return 0.0 if best == -math.inf else float(math.exp(best / depth))
+    best = max(
+        math.log(v) + s if v > 0.0 else -math.inf for v, s in zip(norms.tolist(), logs)
+    )
+    return 0.0 if best == -math.inf else math.nextafter(math.exp(best / depth), math.inf)
 
 
 def _rotation(theta):
@@ -287,14 +288,36 @@ def test_upper_bound_matches_full_enumeration(ms, norm):
         assert upper_bound_at_depth(ms, depth, norm) == _reference_upper_bound(ms, depth, norm)
 
 
+@pytest.mark.parametrize("norm", ["op", "max"])
+@pytest.mark.parametrize("ms", UPPER_SETS, ids=UPPER_IDS)
+def test_upper_bound_is_the_sup_of_word_log_norms(ms, norm):
+    # both sides of beta_sandwich and the depth bound read one product tree
+    for n in (1, 2, 7):
+        *_, last = word_log_norms(ms, n, norm)
+        root = math.exp(max(last) / n)  # rounded up, 0 staying 0
+        assert upper_bound_at_depth(ms, n, norm) == (math.nextafter(root, math.inf) if root else 0.0)
+
+
+def test_readme_example_enclosure_is_not_inverted(diag_set):
+    # {diag(3, 1), diag(1, 3)} has JSR exactly 3, attained by the word (1,)
+    low, witness = lower_bound_periodic(diag_set, 8)
+    assert (low, witness) == (3.0, (1,))
+    assert estimate(diag_set).lower == low
+    for depth in range(1, 17):
+        # exp(log(3**n) / n) rounds to 2.9999999999999996 at n = 5, 10 and
+        # 13; the depth bound rounds it up
+        assert low <= upper_bound_at_depth(diag_set, depth)
+
+
 def test_upper_bound_matches_pinned_results(shear_pair):
-    # the full enumeration gave these, to the last bit
-    assert upper_bound_at_depth(shear_pair, 16) == 1.618033988749895
-    assert upper_bound_at_depth(shear_pair, 16, "max") == 1.6558497696681374
-    assert upper_bound_at_depth(pair_family(0.25), 16) == 1.1980153504002786
-    assert upper_bound_at_depth(pair_family(0.25), 16, "max") == 1.2499403041953259
-    assert upper_bound_at_depth(STALL_PAIR, 16) == 1.5858332138538516
-    assert upper_bound_at_depth(STALL_PAIR, 16, "max") == 1.6560440080994447
+    # the full enumeration gave these, to the last bit, and the outward
+    # rounding of the root put each one ulp higher
+    assert upper_bound_at_depth(shear_pair, 16) == 1.6180339887498951
+    assert upper_bound_at_depth(shear_pair, 16, "max") == 1.6558497696681376
+    assert upper_bound_at_depth(pair_family(0.25), 16) == 1.1980153504002788
+    assert upper_bound_at_depth(pair_family(0.25), 16, "max") == 1.249940304195326
+    assert upper_bound_at_depth(STALL_PAIR, 16) == 1.5858332138538518
+    assert upper_bound_at_depth(STALL_PAIR, 16, "max") == 1.656044008099445
 
 
 @pytest.mark.parametrize("ms,kwargs,reason", [

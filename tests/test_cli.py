@@ -91,6 +91,17 @@ def test_bounds_command(nilpotent_file):
     assert doc["results"]["lower_witness"] == [1, 2]
 
 
+def test_bounds_command_encloses_readme_example(diag_file):
+    # the README's set: JSR exactly 3, the raw radius of A1; at depth 5
+    # exp(log(3**5)/5) rounds to nearest below 3
+    results = run_json("bounds", "--input", diag_file, "--depth", "5")["results"]
+    assert results["lower_periodic"] == 3.0
+    assert results["lower_witness"] == [1]
+    assert results["lower_periodic"] <= results["upper_at_depth"]
+    jsr = run_json("estimate", "--input", diag_file)["results"]["jsr"]
+    assert jsr["lower"] == results["lower_periodic"]
+
+
 def test_triangularise_command(diag_file):
     doc = run_json("triangularise", "--input", diag_file)
     tri = doc["results"]["triangularisation"]

@@ -126,7 +126,10 @@ def _reference_periodic_values(ms, max_period):
                         product = product * 2.0**-e
                         logsc += e * math.log(2.0)
             r = spectral_radius(product)
-            val = math.exp((math.log(r) + logsc) / len(w)) if r > 0.0 else 0.0
+            if r == 0.0 or (len(w) == 1 and logsc == 0.0):
+                val = r  # an unscaled single matrix keeps its raw radius
+            else:
+                val = math.exp((math.log(r) + logsc) / len(w))
             out.append((w, val))
     return out
 

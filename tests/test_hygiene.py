@@ -1,5 +1,6 @@
-"""Source hygiene checks that need no linter: every import is used, and
-the third-party modules imported are the declared dependencies."""
+"""Source hygiene checks that need no linter: every import is used, the
+third-party modules imported are the declared dependencies, and only
+``cocycle`` touches the power-of-two rescale."""
 
 import ast
 import pathlib
@@ -87,3 +88,13 @@ def test_import_leaves_module_unloaded(module):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_rescale_arithmetic_lives_in_cocycle():
+    # one rescale rule: no other module takes a binary exponent of a product
+    users = {
+        path.name
+        for path in SRC.glob("*.py")
+        if re.search(r"\b(frexp|ldexp|log2)\b", path.read_text(encoding="utf-8"))
+    }
+    assert users == {"cocycle.py"}

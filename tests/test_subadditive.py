@@ -118,6 +118,14 @@ def test_subordination_survivors_diagonal(diag_set):
     assert surv[6] == frozenset({(1,) * 6, (2,) * 6})
 
 
+def test_unknown_norm_is_rejected_at_the_call(diag_set):
+    # no level is built, and none needs to be read, before the check
+    with pytest.raises(InputError):
+        jsrkit.cocycle.word_log_norms(diag_set, 0, "nuclear")
+    with pytest.raises(InputError):
+        matrix_observable(diag_set, norm="nuclear")
+
+
 def test_subordination_rejects_wrong_rate(diag_set):
     obs = matrix_observable(diag_set, norm="op")
     with pytest.raises(InputError):
