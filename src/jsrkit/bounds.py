@@ -46,6 +46,20 @@ class JsrBounds:
     def gap(self) -> float:
         return self.upper - self.lower
 
+    def to_json(self) -> dict:
+        """The enclosure as every report prints it: the fields and ``gap``."""
+        return {
+            "lower": self.lower,
+            "upper": self.upper,
+            "gap": self.gap,
+            "lower_witness": list(self.lower_witness or ()),
+            "upper_depth": self.upper_depth,
+            "norm_used": self.norm_used,
+            "converged": self.converged,
+            "evaluations": self.evaluations,
+            "stop_reason": self.stop_reason,
+        }
+
 
 def upper_bound_at_depth(ms: MatrixSet, depth: int, norm: str = "op") -> float:
     """Exact sup over all length-``depth`` products of norm(L)**(1/depth).

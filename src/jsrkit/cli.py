@@ -4,9 +4,18 @@ Commands: estimate, bounds, triangularise, barabanov, mather, stability,
 one-ratio, beta.  Structured output is JSON (floats serialised with full
 round-trip precision), curves are CSV, graphs are DOT.  Exit codes:
 0 success, 2 malformed input, 3 resource cap exceeded, 4 numerical failure.
-Commands parse flags, call the library (``mather``: ``estimate``, then
-``mather.certified_approx``) and print.  Configuration is taken from flags
-only; every tolerance, seed and depth consumed is echoed back in the report.
+
+Each command is declared once, in ``COMMANDS``: its function, help text and
+own flags.  A command takes the resolved matrix set and the flags, calls the
+library and returns its results, or None when it printed a CSV itself; one
+runner resolves the input, times the command and prints the report.  The
+report's ``config`` echoes exactly the command's own flags, leaving out the
+input selectors (--input, --family, --alpha, --output) and the files it
+writes (--dot, --csv).  Every enclosure prints as ``JsrBounds.to_json``,
+``stability``'s ``jsr`` block included; its ``results.config`` keeps the
+library's settings, the estimate's gap and budget among them.  An input
+``chain`` block brings its own seed, so ``stability --seed`` beside it is an
+input error, and the echoed seed is always the one the Markov trials use.
 """
 
 from __future__ import annotations
@@ -78,24 +87,32 @@ def matrix_set_from_document(doc: dict) -> MatrixSet:
         raise InputError(str(exc)) from exc
 
 
-def resolve_matrix_set(args) -> tuple:
-    """(MatrixSet, input_sha256, chain_doc) from --input or --family/--alpha."""
-    if getattr(args, "input", None):
+def resolve_input(args) -> tuple:
+    """(MatrixSet, input_sha256, chain document) from --input or --family/--alpha.
+
+    ``one-ratio --grid`` reads its family from --family and has no single
+    matrix set: it resolves to (None, the sha256 of family and grid, None).
+    """
+    grid = getattr(args, "grid", None)
+    if args.input and grid is None:
         doc = load_input_document(args.input)
-        ms = matrix_set_from_document(doc)
-        return ms, doc["_sha256"], doc.get("chain")
-    if getattr(args, "family", None):
-        if args.family not in FAMILIES:
-            raise InputError(
-                f"unknown family {args.family!r}; available: {sorted(FAMILIES)}"
-            )
-        alpha = getattr(args, "alpha", None)
-        if alpha is None:
-            raise InputError("--family needs --alpha (or --grid for one-ratio)")
-        ms = FAMILIES[args.family](alpha)
-        token = f"family:{args.family}:{alpha!r}"
-        return ms, hashlib.sha256(token.encode()).hexdigest(), None
-    raise InputError("provide --input FILE or --family NAME")
+        return matrix_set_from_document(doc), doc["_sha256"], doc.get("chain")
+    if not args.family:
+        if grid is not None:
+            raise InputError("--grid needs --family")
+        raise InputError("provide --input FILE or --family NAME")
+    if args.family not in FAMILIES:
+        raise InputError(
+            f"unknown family {args.family!r}; available: {sorted(FAMILIES)}"
+        )
+    if grid is not None:
+        ms, token = None, f"family:{args.family}:grid:{grid}"
+    elif args.alpha is None:
+        raise InputError("--family needs --alpha (or --grid for one-ratio)")
+    else:
+        ms = FAMILIES[args.family](args.alpha)
+        token = f"family:{args.family}:{args.alpha!r}"
+    return ms, hashlib.sha256(token.encode()).hexdigest(), None
 
 
 def parse_grid(spec: str):
@@ -131,89 +148,38 @@ def _jsonable(value):
     return value
 
 
-def emit(command: str, sha: str, config: dict, results: dict, started: float, args):
-    report = {
-        "command": command,
-        "input_sha256": sha,
-        "config": config,
-        "results": results,
-        "timings": {"total_s": time.perf_counter() - started},
-    }
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def bounds_payload(b: jsr_bounds.JsrBounds) -> dict:
-    return {
-        "lower": b.lower,
-        "upper": b.upper,
-        "gap": b.gap,
-        "lower_witness": list(b.lower_witness or ()),
-        "upper_depth": b.upper_depth,
-        "norm_used": b.norm_used,
-        "converged": b.converged,
-        "evaluations": b.evaluations,
-        "stop_reason": b.stop_reason,
-    }
-
-
 # ---------------------------------------------------------------- commands
 
 
-def cmd_estimate(args) -> None:
-    started = time.perf_counter()
-    ms, sha, _ = resolve_matrix_set(args)
+def cmd_estimate(ms, args) -> dict:
     b = jsr_bounds.estimate(
         ms, target_gap=args.gap, budget=args.budget, max_depth=args.max_depth
     )
-    config = {
-        "gap": args.gap,
-        "budget": args.budget,
-        "max_depth": args.max_depth,
-    }
-    emit("estimate", sha, config, {"jsr": bounds_payload(b)}, started, args)
+    return {"jsr": b.to_json()}
 
 
-def cmd_bounds(args) -> None:
-    started = time.perf_counter()
-    ms, sha, _ = resolve_matrix_set(args)
+def cmd_bounds(ms, args) -> dict:
     upper = jsr_bounds.upper_bound_at_depth(ms, args.depth, norm=args.norm)
     lower, witness = jsr_bounds.lower_bound_periodic(ms, args.max_period)
-    config = {
-        "depth": args.depth,
-        "norm": args.norm,
-        "max_period": args.max_period,
-    }
-    results = {
+    return {
         "upper_at_depth": upper,
         "lower_periodic": lower,
         "lower_witness": list(witness or ()),
     }
-    emit("bounds", sha, config, results, started, args)
 
 
-def cmd_triangularise(args) -> None:
-    started = time.perf_counter()
-    ms, sha, _ = resolve_matrix_set(args)
+def cmd_triangularise(ms, args) -> dict:
     tri = reducibility.triangularise(ms, tol=args.tol, seed=args.seed)
     upper_est = jsr_bounds.estimate(tri.upper_blocks, target_gap=args.gap)
     lower_est = jsr_bounds.estimate(tri.lower_blocks, target_gap=args.gap)
-    config = {"tol": args.tol, "seed": args.seed, "gap": args.gap}
-    results = {
+    return {
         "triangularisation": tri.to_json(),
-        "upper_block_jsr": bounds_payload(upper_est),
-        "lower_block_jsr": bounds_payload(lower_est),
+        "upper_block_jsr": upper_est.to_json(),
+        "lower_block_jsr": lower_est.to_json(),
     }
-    emit("triangularise", sha, config, results, started, args)
 
 
-def cmd_barabanov(args) -> None:
-    started = time.perf_counter()
-    ms, sha, _ = resolve_matrix_set(args)
+def cmd_barabanov(ms, args) -> dict:
     b = jsr_bounds.estimate(ms, target_gap=args.gap, max_depth=args.max_depth)
     cert = norms_mod.barabanov_iterate(
         ms,
@@ -223,27 +189,16 @@ def cmd_barabanov(args) -> None:
         bounds=b,
         seed=args.seed,
     )
-    config = {
-        "resolution": args.resolution,
-        "max_iters": args.max_iters,
-        "tol": args.tol,
-        "gap": args.gap,
-        "max_depth": args.max_depth,
-        "seed": args.seed,
-    }
-    results = {
+    return {
         "rho_hat": cert.rho_hat,
         "residual": cert.residual,
         "iterations": cert.iterations,
         "norm": cert.norm.to_json(),
-        "jsr": bounds_payload(b),
+        "jsr": b.to_json(),
     }
-    emit("barabanov", sha, config, results, started, args)
 
 
-def cmd_mather(args) -> None:
-    started = time.perf_counter()
-    ms, sha, _ = resolve_matrix_set(args)
+def cmd_mather(ms, args) -> dict:
     est = jsr_bounds.estimate(ms, target_gap=args.gap, max_depth=24)
     found = mather_mod.certified_approx(
         ms, est, args.depth, args.tol, args.seed, args.gap
@@ -254,13 +209,7 @@ def cmd_mather(args) -> None:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(approx.graph.to_dot() + "\n")
-    config = {
-        "depth": args.depth,
-        "tol": args.tol,
-        "gap": args.gap,
-        "seed": args.seed,
-    }
-    results = {
+    return {
         "rho_hat": approx.rho_hat,
         "norm": approx.norm.to_json(),
         "triangularised": found.triangularised,
@@ -279,18 +228,18 @@ def cmd_mather(args) -> None:
             "pass": recur["pass"],
             "cycles_examined": recur["cycles_examined"],
         },
-        "jsr": bounds_payload(found.bounds),
+        "jsr": found.bounds.to_json(),
     }
-    emit("mather", sha, config, results, started, args)
 
 
-def cmd_stability(args) -> None:
-    started = time.perf_counter()
-    ms, sha, chain_doc = resolve_matrix_set(args)
-    if chain_doc is not None:
-        chain = stability.MarkovChainSpec.from_json(chain_doc)
+def cmd_stability(ms, args) -> dict:
+    if args.chain is None:
+        chain = stability.MarkovChainSpec.uniform(len(ms), seed=args.seed or 0)
+    elif args.seed is None:
+        chain = stability.MarkovChainSpec.from_json(args.chain)
     else:
-        chain = stability.MarkovChainSpec.uniform(len(ms), seed=args.seed)
+        raise InputError("--seed cannot be given with an input 'chain' block")
+    args.seed = chain.seed  # the config echoes the seed the trials use
     report = stability.classify(
         ms,
         max_period=args.max_period,
@@ -299,93 +248,117 @@ def cmd_stability(args) -> None:
         horizon=args.horizon,
         trials=args.trials,
     )
-    emit("stability", sha, report.config, report.to_json(), started, args)
+    return report.to_json()
 
 
-def cmd_one_ratio(args) -> None:
-    started = time.perf_counter()
-    if args.grid is not None:
-        if not args.family:
-            raise InputError("--grid needs --family")
-        if args.family not in FAMILIES:
-            raise InputError(
-                f"unknown family {args.family!r}; available: {sorted(FAMILIES)}"
-            )
-        alphas = parse_grid(args.grid)
-        curve = oneratio.ratio_curve(
-            FAMILIES[args.family],
-            alphas,
-            args.symbol,
-            max_period=args.max_period,
-            slack=args.slack,
+def cmd_one_ratio(ms, args):
+    if args.grid is None:
+        est = oneratio.optimal_periodic_ratio(
+            ms, args.symbol, max_period=args.max_period, slack=args.slack
         )
-        csv_text = oneratio.ratio_curve_csv(curve)
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-        else:
-            sys.stdout.write(csv_text)
-        token = f"family:{args.family}:grid:{args.grid}"
-        sha = hashlib.sha256(token.encode()).hexdigest()
-        config = {
-            "symbol": args.symbol,
-            "max_period": args.max_period,
-            "grid": args.grid,
-            "slack": args.slack,
+        return {
+            "gamma": est.gamma,
+            "spread": est.spread,
+            "unique": est.unique_flag,
+            "witnesses": [
+                {"word": "".join(str(s) for s in w), "value": v}
+                for (w, v) in est.witnesses
+            ],
         }
-        results = {
-            "max_adjacent_jump": curve["max_adjacent_jump"],
-            "points": len(curve["rows"]),
-            "csv_path": args.csv,
-        }
-        if args.csv:
-            emit("one-ratio", sha, config, results, started, args)
-        return
-    ms, sha, _ = resolve_matrix_set(args)
-    est = oneratio.optimal_periodic_ratio(
-        ms, args.symbol, max_period=args.max_period, slack=args.slack
+    curve = oneratio.ratio_curve(
+        FAMILIES[args.family],
+        parse_grid(args.grid),
+        args.symbol,
+        max_period=args.max_period,
+        slack=args.slack,
     )
-    config = {
-        "symbol": args.symbol,
-        "max_period": args.max_period,
-        "slack": args.slack,
+    csv_text = oneratio.ratio_curve_csv(curve)
+    if not args.csv:
+        sys.stdout.write(csv_text)
+        return None
+    with open(args.csv, "w", encoding="utf-8") as fh:
+        fh.write(csv_text)
+    return {
+        "max_adjacent_jump": curve["max_adjacent_jump"],
+        "points": len(curve["rows"]),
+        "csv_path": args.csv,
     }
-    results = {
-        "gamma": est.gamma,
-        "spread": est.spread,
-        "unique": est.unique_flag,
-        "witnesses": [
-            {"word": "".join(str(s) for s in w), "value": v}
-            for (w, v) in est.witnesses
-        ],
-    }
-    emit("one-ratio", sha, config, results, started, args)
 
 
-def cmd_beta(args) -> None:
-    started = time.perf_counter()
-    ms, sha, _ = resolve_matrix_set(args)
+def cmd_beta(ms, args) -> dict:
     obs = subadditive.matrix_observable(ms, norm=args.norm)
     lower, upper = subadditive.beta_sandwich(
         obs, depth=args.depth, max_period=args.max_period
     )
-    config = {
-        "depth": args.depth,
-        "max_period": args.max_period,
-        "norm": args.norm,
-    }
-    results = {"lower": lower, "upper": upper}
-    emit("beta", sha, config, results, started, args)
+    return {"lower": lower, "upper": upper}
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- table
 
+# The metavar of a flag that names a file: an input selector or a file the
+# command writes.  The report's config does not echo such flags.
+_FILE = "FILE"
 
-def _add_common(p):
-    p.add_argument("--input", help="input document (JSON)")
-    p.add_argument("--family", help="built-in family name (e.g. hmst)")
-    p.add_argument("--alpha", type=float, help="family parameter")
-    p.add_argument("--output", help="write the JSON report here instead of stdout")
+_INPUT_FLAGS = (
+    ("--input", dict(metavar=_FILE, help="input document (JSON)")),
+    ("--family", dict(help="built-in family name (e.g. hmst)")),
+    ("--alpha", dict(type=float, help="family parameter")),
+    ("--output", dict(metavar=_FILE, help="write the report here, not to stdout")),
+)
+
+# name -> (command function, help text, the command's own flags)
+COMMANDS = {
+    "estimate": (cmd_estimate, "branch-and-bound jsr enclosure", (
+        ("--gap", dict(type=float, default=1e-10, help="target gap (default 1e-10)")),
+        ("--budget", dict(type=int, default=10**6, help="product budget")),
+        ("--max-depth", dict(type=int, default=64, help="depth cap (default 64)")),
+    )),
+    "bounds": (cmd_bounds, "depth-n upper and periodic lower bounds", (
+        ("--depth", dict(type=int, default=8, help="upper bound depth")),
+        ("--norm", dict(choices=["op", "max"], default="op")),
+        ("--max-period", dict(type=int, default=8, help="lower bound period cap")),
+    )),
+    "triangularise": (cmd_triangularise, "simultaneous block triangular form", (
+        ("--tol", dict(type=float, default=1e-8)),
+        ("--seed", dict(type=int, default=0)),
+        ("--gap", dict(type=float, default=1e-8, help="block jsr gap")),
+    )),
+    "barabanov": (cmd_barabanov, "angular-grid Barabanov norm (real 2x2)", (
+        ("--resolution", dict(type=int, default=2048)),
+        ("--max-iters", dict(type=int, default=20000)),
+        ("--tol", dict(type=float, default=1e-10)),
+        ("--gap", dict(type=float, default=1e-4, help="jsr interval gap")),
+        ("--max-depth", dict(type=int, default=24)),
+        ("--seed", dict(type=int, default=20240801)),
+    )),
+    "mather": (cmd_mather, "survivor-set outer approximation", (
+        ("--depth", dict(type=int, default=8)),
+        ("--tol", dict(type=float, default=5e-3)),
+        ("--gap", dict(type=float, default=1e-8)),
+        ("--seed", dict(type=int, default=0)),
+        ("--dot", dict(metavar=_FILE, help="write the survivor graph here (DOT)")),
+    )),
+    "stability": (cmd_stability, "absolute/periodic/Markov verdicts", (
+        ("--max-period", dict(type=int, default=8)),
+        ("--depth", dict(type=int, default=12)),
+        ("--horizon", dict(type=int, default=200)),
+        ("--trials", dict(type=int, default=64)),
+        ("--seed", dict(type=int, help="uniform chain seed (default 0); an "
+                        "input 'chain' block sets its own")),
+    )),
+    "one-ratio": (cmd_one_ratio, "optimal symbol frequency", (
+        ("--symbol", dict(type=int, default=1)),
+        ("--max-period", dict(type=int, default=8)),
+        ("--slack", dict(type=float, default=1e-6)),
+        ("--grid", dict(help="start:stop:step over the family parameter")),
+        ("--csv", dict(metavar=_FILE, help="write the curve CSV here")),
+    )),
+    "beta": (cmd_beta, "subadditive two-sided growth sandwich", (
+        ("--depth", dict(type=int, default=8)),
+        ("--max-period", dict(type=int, default=8)),
+        ("--norm", dict(choices=["op", "max"], default="op")),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,80 +368,41 @@ def build_parser() -> argparse.ArgumentParser:
         "growth-maximising sequence analysis for finite matrix sets.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("estimate", help="branch-and-bound jsr enclosure")
-    _add_common(p)
-    p.add_argument("--gap", type=float, default=1e-10, help="target gap (default 1e-10)")
-    p.add_argument("--budget", type=int, default=10**6, help="product budget")
-    p.add_argument("--max-depth", type=int, default=64, help="depth cap (default 64)")
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("bounds", help="depth-n upper and periodic lower bounds")
-    _add_common(p)
-    p.add_argument("--depth", type=int, default=8, help="upper bound depth")
-    p.add_argument("--norm", choices=["op", "max"], default="op")
-    p.add_argument("--max-period", type=int, default=8, help="lower bound period cap")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("triangularise", help="simultaneous block triangular form")
-    _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gap", type=float, default=1e-8, help="block jsr gap")
-    p.set_defaults(func=cmd_triangularise)
-
-    p = sub.add_parser("barabanov", help="angular-grid Barabanov norm (real 2x2)")
-    _add_common(p)
-    p.add_argument("--resolution", type=int, default=2048)
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--gap", type=float, default=1e-4, help="jsr interval gap")
-    p.add_argument("--max-depth", type=int, default=24)
-    p.add_argument("--seed", type=int, default=20240801)
-    p.set_defaults(func=cmd_barabanov)
-
-    p = sub.add_parser("mather", help="survivor-set outer approximation")
-    _add_common(p)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--tol", type=float, default=5e-3)
-    p.add_argument("--gap", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dot", help="write the survivor graph here (DOT)")
-    p.set_defaults(func=cmd_mather)
-
-    p = sub.add_parser("stability", help="absolute/periodic/Markov verdicts")
-    _add_common(p)
-    p.add_argument("--max-period", type=int, default=8)
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_stability)
-
-    p = sub.add_parser("one-ratio", help="optimal symbol frequency")
-    _add_common(p)
-    p.add_argument("--symbol", type=int, default=1)
-    p.add_argument("--max-period", type=int, default=8)
-    p.add_argument("--slack", type=float, default=1e-6)
-    p.add_argument("--grid", help="start:stop:step over the family parameter")
-    p.add_argument("--csv", help="write the curve CSV here")
-    p.set_defaults(func=cmd_one_ratio)
-
-    p = sub.add_parser("beta", help="subadditive two-sided growth sandwich")
-    _add_common(p)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--max-period", type=int, default=8)
-    p.add_argument("--norm", choices=["op", "max"], default="op")
-    p.set_defaults(func=cmd_beta)
-
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in _INPUT_FLAGS:
+            p.add_argument(flag, **options)
+        own = [p.add_argument(flag, **options) for flag, options in flags]
+        p.set_defaults(func=func, echo=[a.dest for a in own if a.metavar != _FILE])
     return parser
 
 
+def run(args) -> None:
+    """Resolve the input, run the command and print its report."""
+    started = time.perf_counter()
+    ms, sha, args.chain = resolve_input(args)
+    results = args.func(ms, args)
+    if results is None:
+        return
+    report = {
+        "command": args.cmd,
+        "input_sha256": sha,
+        "config": {key: getattr(args, key) for key in args.echo},
+        "results": results,
+        "timings": {"total_s": time.perf_counter() - started},
+    }
+    text = json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        run(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

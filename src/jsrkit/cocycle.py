@@ -322,8 +322,12 @@ def prefix_values(ms: MatrixSet, word):
     return out
 
 
-def cocycle_check(ms: MatrixSet, word, n: int, rtol: float = 1e-9) -> bool:
-    """Verify L(w) = L(shift^n w, |w|-n) L(w, n) in the scaled representation."""
+_CHECK_RTOL = 1e-9  # cocycle_check's tolerance, relative to max|L(w)|
+
+
+def cocycle_check(ms: MatrixSet, word, n: int) -> bool:
+    """Verify L(w) = L(shift^n w, |w|-n) L(w, n) in the scaled representation,
+    to within ``_CHECK_RTOL`` times the largest entry of L(w)."""
     word = tuple(word)
     if not 0 <= n <= len(word):
         raise InputError("split point outside the word")
@@ -334,6 +338,6 @@ def cocycle_check(ms: MatrixSet, word, n: int, rtol: float = 1e-9) -> bool:
     combined, log_scale = _rescale(combined, tail.log_scale + head.log_scale)
     scale = max_entry_norm(whole.product)
     if scale == 0.0:
-        return max_entry_norm(combined) <= rtol
+        return max_entry_norm(combined) <= _CHECK_RTOL
     diff = combined * math.exp(log_scale - whole.log_scale) - whole.product
-    return max_entry_norm(diff) <= rtol * scale
+    return max_entry_norm(diff) <= _CHECK_RTOL * scale

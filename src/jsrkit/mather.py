@@ -61,9 +61,10 @@ class MatherApprox:
         trace of ``norms.classify_extremality``."""
         return classify_extremality(self.matrix_set, self.norm, self.rho_hat, w)[1]
 
-    def is_full_language(self, depth: int = None) -> bool:
-        depth = self.max_depth if depth is None else depth
-        return len(self.survivors[depth]) == len(self.matrix_set) ** depth
+    def is_full_language(self) -> bool:
+        """Does every word of the deepest level survive?"""
+        n = self.max_depth
+        return len(self.survivors[n]) == len(self.matrix_set) ** n
 
 
 def _survivor_step(ms, norm, p, ls, i, n, logr, floor):

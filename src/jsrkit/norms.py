@@ -454,12 +454,16 @@ def extremal_norm_2d(
     return NormModel.angular_grid(h / np.max(h))
 
 
-def classify_extremality(ms: MatrixSet, norm: NormModel, rho_hat: float, w, eps=1e-3):
+_EXTREMALITY_EPS = 1e-3  # classify_extremality's ratio floor and rate slack
+
+
+def classify_extremality(ms: MatrixSet, norm: NormModel, rho_hat: float, w):
     """Finite-horizon extremality class of a word with its ratio trace.
 
-    ``StrongCandidate`` when nu(L(w, m)) >= eps * rho_hat**m for every
-    prefix length m; ``WeakCandidate`` when only the endpoint rate
-    satisfies log nu(L(w))/|w| >= log rho_hat - eps; ``Neither`` otherwise.
+    With eps = ``_EXTREMALITY_EPS``: ``StrongCandidate`` when
+    nu(L(w, m)) >= eps * rho_hat**m for every prefix length m;
+    ``WeakCandidate`` when only the endpoint rate satisfies
+    log nu(L(w))/|w| >= log rho_hat - eps; ``Neither`` otherwise.
     The trace holds nu(L(w, m))/rho_hat**m for m = 1..|w|.
     """
     w = tuple(w)
@@ -475,19 +479,24 @@ def classify_extremality(ms: MatrixSet, norm: NormModel, rho_hat: float, w, eps=
         nu = norm.induced(cv.product)
         lognu = _LN(nu) + cv.log_scale if nu > 0.0 else -math.inf
         trace.append(math.exp(lognu - m * logr) if lognu > -math.inf else 0.0)
-        if lognu < _LN(eps) + m * logr:
+        if lognu < _LN(_EXTREMALITY_EPS) + m * logr:
             strong = False
     if strong:
         return "StrongCandidate", trace
     final = trace[-1]
-    if final > 0.0 and _LN(final) / len(w) >= -eps:
+    if final > 0.0 and _LN(final) / len(w) >= -_EXTREMALITY_EPS:
         return "WeakCandidate", trace
     return "Neither", trace
 
 
-def test_directions(norm: NormModel, dim: int, count: int = 64, seed: int = 7):
+_RANDOM_DIRECTIONS = 64  # random directions at the end of test_directions
+_DIRECTIONS_SEED = 7
+
+
+def test_directions(norm: NormModel, dim: int):
     """Deterministic direction battery: signed axes first, then the norm's
-    own ball vertices when it has any, then seeded random directions."""
+    own ball vertices when it has any, then ``_RANDOM_DIRECTIONS`` random
+    directions seeded with ``_DIRECTIONS_SEED``."""
     dirs = [np.eye(dim)[i] for i in range(dim)]
     dirs += [-np.eye(dim)[i] for i in range(dim)]
     if norm.kind == "angular_grid":
@@ -495,37 +504,32 @@ def test_directions(norm: NormModel, dim: int, count: int = 64, seed: int = 7):
         dirs += [np.array([x, y]) for x, y in zip(vx, vy)]
     elif norm.kind == "polytope":
         dirs += [v for v in norm.vertices]
-    rng = np.random.default_rng(seed)
-    extra = rng.normal(size=(count, dim))
+    rng = np.random.default_rng(_DIRECTIONS_SEED)
+    extra = rng.normal(size=(_RANDOM_DIRECTIONS, dim))
     dirs += [v for v in extra]
     return dirs
 
 
-def kozyakin_extremal_witness(
-    ms: MatrixSet,
-    norm: NormModel,
-    rho_hat: float,
-    w,
-    tol: float = 0.1,
-    directions=None,
-):
+_KOZYAKIN_TOL = 0.1  # kozyakin_extremal_witness's relative shortfall
+
+
+def kozyakin_extremal_witness(ms: MatrixSet, norm: NormModel, rho_hat: float, w):
     """Search for a unit vector whose norm image tracks rho_hat**m exactly.
 
-    Looks for v with nu(v) = 1 and nu(L(w, m) v) >= (1 - tol) rho_hat**m
-    for every m <= |w|, over a battery of directions; returns the best
-    qualifying unit vector or None.
+    Looks for v with nu(v) = 1 and
+    nu(L(w, m) v) >= (1 - ``_KOZYAKIN_TOL``) rho_hat**m for every m <= |w|,
+    over the ``test_directions`` battery; returns the best qualifying unit
+    vector or None.
     """
     w = tuple(w)
     if rho_hat <= 0.0:
         raise InputError("rho_hat must be positive")
-    if directions is None:
-        directions = test_directions(norm, ms.dim)
     prefixes = prefix_values(ms, w)
     logr = _LN(rho_hat)
-    floor = _LN(1.0 - tol) if tol < 1.0 else -math.inf
+    floor = _LN(1.0 - _KOZYAKIN_TOL)
     best_v = None
     best_margin = -math.inf
-    for v in directions:
+    for v in test_directions(norm, ms.dim):
         v = np.asarray(v, dtype=np.float64)
         nv = norm.vector(v)
         if nv == 0.0:

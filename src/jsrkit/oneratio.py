@@ -83,15 +83,16 @@ def optimal_periodic_ratio(
 
 
 def ratio_equivalence_check(
-    ms: MatrixSet, symbol: int, approx, max_period: int = 8, kozyakin_tol: float = 0.1
+    ms: MatrixSet, symbol: int, approx, max_period: int = 8
 ) -> dict:
     """Cross-check four frequency ranges that should agree when the optimal
     ratio is unique.
 
     Ranges: (a) near-optimal periodic witnesses, (b) depth-n survivor
     words, (c) the extremal-prefix search word, (d) survivor words that
-    admit a norm-tracking unit vector.  Reports the ranges and whether all
-    nonempty ones mutually overlap within 2/n.
+    admit a norm-tracking unit vector (``kozyakin_extremal_witness``, within
+    ``norms._KOZYAKIN_TOL``).  Reports the ranges and whether all nonempty
+    ones mutually overlap within 2/n.
     """
     from .mather import find_extremal_prefix
     from .norms import kozyakin_extremal_witness
@@ -112,10 +113,7 @@ def ratio_equivalence_check(
     ranges["extremal_prefix"] = (fp, fp)
     koz = []
     for w in survivors:
-        v = kozyakin_extremal_witness(
-            ms, approx.norm, approx.rho_hat, w, tol=kozyakin_tol
-        )
-        if v is not None:
+        if kozyakin_extremal_witness(ms, approx.norm, approx.rho_hat, w) is not None:
             koz.append(symbol_frequency(w, symbol))
     if koz:
         ranges["kozyakin"] = (min(koz), max(koz))

@@ -32,6 +32,8 @@ __all__ = [
 _ABSORPTION_FLOOR = math.log(1e-300)
 _CHUNK_STEPS = 256  # uniforms drawn per trial, and path steps held, at a time
 _STATE_BLOCK = 16  # steps whose state tables compose into one map; divides _CHUNK_STEPS
+_TARGET_GAP = 1e-8  # classify's estimate: the gap it stops at
+_BUDGET = 200_000  # classify's estimate: the products it may evaluate
 
 
 class MarkovChainSpec:
@@ -286,13 +288,7 @@ class StabilityReport:
             "absolute": self.absolute,
             "periodic": self.periodic,
             "markov": self.markov,
-            "jsr": {
-                "lower": self.jsr.lower,
-                "upper": self.jsr.upper,
-                "lower_witness": list(self.jsr.lower_witness or ()),
-                "upper_depth": self.jsr.upper_depth,
-                "converged": self.jsr.converged,
-            },
+            "jsr": self.jsr.to_json(),
             "max_period": self.max_period,
             "periodic_witness": list(self.periodic_witness or ()),
             "periodic_value": self.periodic_value,
@@ -323,18 +319,20 @@ def classify(
     chain: MarkovChainSpec = None,
     horizon: int = 200,
     trials: int = 64,
-    target_gap: float = 1e-8,
-    budget: int = 200000,
 ) -> StabilityReport:
     """Classify absolute, periodic and Markov asymptotic stability.
 
     Absolute stability holds exactly when the growth rate is below 1, so
     the verdict follows the certified interval: Stable when upper < 1,
     NotStable when lower >= 1 (a rate of exactly 1 already refutes decay),
-    Unknown otherwise.
+    Unknown otherwise.  The interval is ``estimate``'s at gap
+    ``_TARGET_GAP``, budget ``_BUDGET`` and depth cap ``depth``; the
+    report's ``config`` echoes all three.
     """
     chain = chain or MarkovChainSpec.uniform(len(ms))
-    est = jsr_bounds.estimate(ms, target_gap=target_gap, budget=budget, max_depth=depth)
+    est = jsr_bounds.estimate(
+        ms, target_gap=_TARGET_GAP, budget=_BUDGET, max_depth=depth
+    )
     if est.upper < 1.0:
         absolute = "Stable"
     elif est.lower >= 1.0:
@@ -369,8 +367,8 @@ def classify(
             "depth": depth,
             "horizon": horizon,
             "trials": trials,
-            "target_gap": target_gap,
-            "budget": budget,
+            "target_gap": _TARGET_GAP,
+            "budget": _BUDGET,
             "seed": chain.seed,
         },
     )

@@ -28,6 +28,8 @@ __all__ = [
     "subordination_survivors",
 ]
 
+_SPOT_TOL = 1e-9  # slack spot_check allows f(w) over the sum of its parts
+
 
 @dataclass(frozen=True)
 class SubadditiveObservable:
@@ -46,8 +48,9 @@ class SubadditiveObservable:
     def __call__(self, w) -> float:
         return float(self.evaluator(tuple(w)))
 
-    def spot_check(self, words, tol: float = 1e-9):
-        """Verify subadditivity on all split points of the given words.
+    def spot_check(self, words):
+        """Verify subadditivity, up to ``_SPOT_TOL``, on all split points of
+        the given words.
 
         Returns None, or the first violating (word, n, m) triple.
         """
@@ -56,7 +59,7 @@ class SubadditiveObservable:
             whole = self(w)
             for m in range(1, len(w)):
                 part = self(w[m:]) + self(w[:m])
-                if whole > part + tol:
+                if whole > part + _SPOT_TOL:
                     return (w, len(w) - m, m)
         return None
 
@@ -141,7 +144,10 @@ def beta_sandwich(
     """Two-sided enclosure of the maximal ergodic average of the observable.
 
     upper = min over n <= depth of (1/n) max over length-n words of f_n:
-    the inf-sup side, always an upper bound by subadditivity.  With the
+    the inf-sup side, always an upper bound by subadditivity.  A finite
+    minimum is rounded up one ulp (-inf stays -inf), as
+    ``bounds.upper_bound_at_depth`` rounds its root: to nearest,
+    log(3**5)/5 lies one ulp below log 3.  With the
     observable's ``level_values`` (``matrix_observable`` has them) each
     length-n level is one batched product-tree level, so peak memory at the
     cap is one full level of ell**depth values, as in
@@ -163,6 +169,8 @@ def beta_sandwich(
     upper = math.inf
     for n, values in enumerate(_levels(obs, depth, cap), start=1):
         upper = min(upper, max(values) / n)
+    if math.isfinite(upper):
+        upper = math.nextafter(upper, math.inf)
     if obs.periodic_rates is not None:
         lower = max(obs.periodic_rates(max_period))
     else:

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from jsrkit.cli import COMMANDS, main
+
 DIAG_DOC = {
     "dim": 2,
     "matrices": [
@@ -144,6 +146,22 @@ def test_stability_command(nilpotent_file):
     assert doc["results"]["periodic"] == "CounterexampleWord"
 
 
+def test_stability_config_echoes_the_seed_in_use(tmp_path):
+    chained = dict(DIAG_DOC, chain={"transition": [[0.5, 0.5], [0.5, 0.5]],
+                                    "initial": [0.5, 0.5], "seed": 5})
+    p = tmp_path / "chained.json"
+    p.write_text(json.dumps(chained))
+    short = ("--trials", "8", "--horizon", "16")
+    doc = run_json("stability", "--input", str(p), *short)
+    assert doc["config"]["seed"] == 5
+    assert doc["results"]["markov_estimate"]["seed"] == 5
+    # the chain block sets its own seed, so the flag beside it is an error
+    out = run_cli("stability", "--input", str(p), "--seed", "3", *short, expect=2)
+    assert "--seed" in out.stderr
+    doc = run_json("stability", "--family", "hmst", "--alpha", "1.0", *short)
+    assert doc["config"]["seed"] == doc["results"]["markov_estimate"]["seed"] == 0
+
+
 def test_one_ratio_command():
     doc = run_json("one-ratio", "--family", "hmst", "--alpha", "1.0",
                    "--symbol", "1", "--max-period", "8")
@@ -193,6 +211,14 @@ def test_beta_command(diag_file):
                    "--max-period", "4")
     assert doc["results"]["lower"] == pytest.approx(math.log(3.0), abs=1e-12)
     assert doc["results"]["upper"] == pytest.approx(math.log(3.0), abs=1e-12)
+
+
+def test_beta_command_encloses_readme_example(diag_file):
+    # log(3**5)/5 rounds to nearest one ulp below log 3
+    results = run_json("beta", "--input", diag_file, "--depth", "5",
+                       "--max-period", "4")["results"]
+    assert results["upper"] >= math.log(3.0)
+    assert results["lower"] <= results["upper"]
 
 
 def test_missing_input_is_exit_2():
@@ -269,3 +295,47 @@ def test_config_echo_lists_every_tunable(diag_file):
     doc = run_json("mather", "--input", diag_file, "--depth", "6")
     for key in ("depth", "tol", "gap", "seed"):
         assert key in doc["config"]
+
+
+# one run per command, and the grid path of one-ratio; DIAG and TMP stand
+# for the README set's input file and a scratch directory
+CONFIG_RUNS = [
+    ("estimate", "--input", "DIAG", "--gap", "1e-6"),
+    ("bounds", "--input", "DIAG", "--depth", "4"),
+    ("triangularise", "--input", "DIAG"),
+    ("barabanov", "--family", "hmst", "--alpha", "1.0", "--resolution", "512"),
+    ("mather", "--input", "DIAG", "--depth", "4", "--dot", "TMP/g.dot"),
+    ("stability", "--input", "DIAG", "--trials", "8", "--horizon", "16"),
+    ("one-ratio", "--family", "hmst", "--alpha", "1.0", "--max-period", "4"),
+    ("one-ratio", "--family", "hmst", "--grid", "0.5:1.0:0.5", "--max-period", "4",
+     "--csv", "TMP/c.csv"),
+    ("beta", "--input", "DIAG", "--depth", "4", "--max-period", "2"),
+]
+# input selectors and the files a command writes are not configuration
+NOT_ECHOED = {"help", "input", "family", "alpha", "output", "dot", "csv"}
+
+
+def _help(cmd, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([cmd, "--help"])
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", sorted(COMMANDS))
+def test_every_command_has_help(cmd, capsys):
+    assert _help(cmd, capsys).startswith(f"usage: jsrkit {cmd} ")
+    assert cmd in {run[0] for run in CONFIG_RUNS}
+
+
+@pytest.mark.parametrize(
+    "argv", CONFIG_RUNS, ids=lambda argv: argv[0] + ("-grid" if "--grid" in argv else "")
+)
+def test_config_echoes_exactly_the_commands_own_flags(argv, diag_file, tmp_path,
+                                                       capsys):
+    usage = _help(argv[0], capsys).split("\n\n")[0]
+    own = {flag.replace("-", "_") for flag in re.findall(r"--([a-z][a-z-]*)", usage)}
+    argv = [a.replace("DIAG", diag_file).replace("TMP", str(tmp_path)) for a in argv]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["config"]) == own - NOT_ECHOED

@@ -286,3 +286,13 @@ def test_classify_report_json(diag_set):
     doc = classify(diag_set).to_json()
     assert doc["absolute"] == "NotStable"
     assert "jsr" in doc and "config" in doc
+
+
+def test_classify_report_jsr_block_is_the_enclosure_payload(diag_set):
+    # the stability report prints its enclosure as every other report does,
+    # with the reason the estimate stopped
+    report = classify(diag_set)
+    doc = report.to_json()
+    assert doc["jsr"] == report.jsr.to_json()
+    assert doc["jsr"]["stop_reason"] == report.jsr.stop_reason
+    assert {"target_gap", "budget"} <= set(doc["config"])

@@ -80,6 +80,16 @@ def test_beta_sandwich_exact_on_diagonal(diag_set):
     assert up == pytest.approx(math.log(3.0), abs=1e-12)
 
 
+def test_beta_sandwich_upper_side_encloses_readme_example(diag_set):
+    # to nearest, log(3**5)/5 lies one ulp below log 3 = log JSR; the upper
+    # side is rounded up, and the lower side is clamped to it
+    obs = matrix_observable(diag_set)
+    for depth in range(1, 9):
+        low, up = beta_sandwich(obs, depth=depth, max_period=4)
+        assert up >= math.log(3.0)
+        assert low == math.log(3.0)
+
+
 def test_beta_sandwich_agrees_with_jsr_bounds():
     rng = np.random.default_rng(72)
     for _ in range(15):
@@ -133,11 +143,14 @@ def test_subordination_rejects_wrong_rate(diag_set):
 
 
 def _reference_upper(obs, depth):
-    """beta_sandwich's upper side, one word at a time."""
+    """beta_sandwich's upper side, one word at a time, a finite minimum
+    rounded up one ulp."""
     upper = math.inf
     for n in range(1, depth + 1):
         words = itertools.product(range(1, obs.alphabet_size + 1), repeat=n)
         upper = min(upper, max(obs(w) for w in words) / n)
+    if math.isfinite(upper):
+        upper = math.nextafter(upper, math.inf)
     return upper
 
 
