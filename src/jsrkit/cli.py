@@ -214,7 +214,6 @@ def cmd_mather(ms, args) -> dict:
         "norm": approx.norm.to_json(),
         "triangularised": found.triangularised,
         "certified_by": found.certified_by,
-        "retried": found.retried,
         "survivor_counts": {
             str(n): len(approx.survivors[n]) for n in approx.depths
         },

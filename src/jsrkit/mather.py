@@ -23,7 +23,7 @@ from .cocycle import _rates, _rescale, evaluate
 from .errors import InconsistencyError, InputError, NumericalError, ResourceCapError
 from .matrices import MatrixSet
 from .norms import NormModel, candidate_norms, check_extremal, classify_extremality
-from .norms import barabanov_iterate, extremal_norm_2d
+from .norms import barabanov_iterate
 from .words import WordGraph, strongly_connected_components
 
 __all__ = [
@@ -142,46 +142,29 @@ def build_mather_approx(
     )
 
 
-# (resolution, horizon) of the running-max norm, and of its one finer
-# rebuild after the survivors of the first build empty.
-_EXTREMAL_GRID = (512, 200)
-_EXTREMAL_GRID_FINE = (2048, 600)
-
-
 @dataclass(frozen=True)
 class CertifiedApprox:
     """Survivor sets under a certified norm, with the path that built them.
 
-    ``certified_by`` is a candidate norm kind, ``barabanov`` or
-    ``extremal_norm_2d``.  ``retried`` says the finer running-max norm was
-    built after the first build emptied.  When ``triangularised``,
-    ``approx`` and ``bounds`` refer to the upper diagonal block.
+    ``certified_by`` is a candidate norm kind or ``barabanov``.  When
+    ``triangularised``, ``approx`` and ``bounds`` refer to the diagonal
+    block that carries the growth rate.
     """
 
     approx: MatherApprox
     bounds: JsrBounds
     certified_by: str
     triangularised: bool
-    retried: bool
 
 
 def _rate(ms: MatrixSet, norm: NormModel) -> float:
     return max(norm.induced(a) for a in ms.matrices)
 
 
-def _running_max_norm(ms, est, budget, grid):
-    try:
-        norm = extremal_norm_2d(ms, est.lower, resolution=grid[0], horizon=grid[1])
-    except (InputError, NumericalError):
-        return None
-    rho_c = _rate(ms, norm)
-    return (norm, rho_c, "extremal_norm_2d") if rho_c <= budget else None
-
-
-def _certified_norm(ms, est, budget, seed):
+def _certified_norm(ms, budget, seed):
     """(norm, rate, source) of the first norm whose rate max_i nu_ind(A_i)
-    is within budget: candidates, then Barabanov and the running-max norm
-    for real 2x2 sets.  None if no norm passes."""
+    is within budget: candidates, then Barabanov for real 2x2 sets.  None
+    if no norm passes."""
     for cand in candidate_norms(ms):
         rho_c = _rate(ms, cand)
         if rho_c <= budget:
@@ -192,36 +175,38 @@ def _certified_norm(ms, est, budget, seed):
         cert = barabanov_iterate(
             ms, resolution=512, tol=1e-8, max_iters=20000, seed=seed
         )
-        rho_c = _rate(ms, cert.norm)
-        if rho_c <= budget:
-            return cert.norm, rho_c, "barabanov"
     except (InputError, NumericalError):
-        pass
-    return _running_max_norm(ms, est, budget, _EXTREMAL_GRID)
+        return None
+    rho_c = _rate(ms, cert.norm)
+    return (cert.norm, rho_c, "barabanov") if rho_c <= budget else None
 
 
 def _approx_under_certified_norm(ms, est, depth, tol, seed):
-    """(approx, source, retried), or None when no norm certifies a rate
-    within est.lower * (1 + tol).  When the survivors empty, only a
-    running-max norm is rebuilt: any other norm would come back the same."""
+    """(approx, source), or None when no norm certifies a rate within
+    est.lower * (1 + tol)."""
     if est.lower <= 0.0:
         return None
-    budget = est.lower * (1.0 + tol)
-    found = _certified_norm(ms, est, budget, seed)
+    found = _certified_norm(ms, est.lower * (1.0 + tol), seed)
     if found is None:
         return None
     norm, rho_c, source = found
-    try:
-        approx = build_mather_approx(ms, norm, rho_c, max_depth=depth, tol=tol)
-        return approx, source, False
-    except InconsistencyError:
-        if source != "extremal_norm_2d":
-            raise
-        finer = _running_max_norm(ms, est, budget, _EXTREMAL_GRID_FINE)
-        if finer is None:
-            raise
-    approx = build_mather_approx(ms, finer[0], finer[1], max_depth=depth, tol=tol)
-    return approx, source, True
+    approx = build_mather_approx(ms, norm, rho_c, max_depth=depth, tol=tol)
+    return approx, source
+
+
+def _growth_block(tri, floor, gap):
+    """(blocks, estimate) of the first diagonal block, upper then lower,
+    whose estimated upper bound reaches ``floor``.  The JSR of a
+    block-triangular set is the larger of its blocks' JSRs, so a block
+    below a lower bound on it cannot carry the growth rate."""
+    for blocks in (tri.upper_blocks, tri.lower_blocks):
+        est = estimate(blocks, target_gap=gap, max_depth=24)
+        if est.upper >= floor:
+            return blocks, est
+    raise NumericalError(
+        f"neither diagonal block reaches the growth rate: both block upper "
+        f"bounds lie below {floor:.12g}"
+    )
 
 
 def certified_approx(
@@ -231,10 +216,12 @@ def certified_approx(
     depth-``depth`` survivor sets under it; ``est`` encloses its JSR.
 
     When no norm certifies and the set is reducible with unbounded
-    products, its upper diagonal block is re-estimated (``target_gap=gap``,
-    depth 24) and run through the same steps once more.  Raises
-    ``NumericalError`` when no norm certifies, ``InconsistencyError`` when
-    the survivor sets empty.
+    products, the diagonal block that carries the growth rate -- the upper
+    one unless its upper bound falls below ``est.lower * (1 - tol)`` -- is
+    re-estimated (``target_gap=gap``, depth 24) and run through the same
+    steps once more.  Raises ``NumericalError`` when no norm certifies or
+    neither block reaches the growth rate, ``InconsistencyError`` when the
+    survivor sets empty.
     """
     triangularised = False
     found = _approx_under_certified_norm(ms, est, depth, tol, seed)
@@ -247,8 +234,8 @@ def certified_approx(
             sub is not None
             and reducibility.product_boundedness(ms).status != "Bounded"
         ):
-            ms = reducibility.triangularise(ms, seed=seed).upper_blocks
-            est = estimate(ms, target_gap=gap, max_depth=24)
+            tri = reducibility.triangularise(ms, seed=seed)
+            ms, est = _growth_block(tri, est.lower * (1.0 - tol), gap)
             triangularised = True
             found = _approx_under_certified_norm(ms, est, depth, tol, seed)
     if found is None:
@@ -256,8 +243,8 @@ def certified_approx(
             "no extremal norm could be certified; Barabanov iteration failed "
             "or does not apply"
         )
-    approx, source, retried = found
-    return CertifiedApprox(approx, est, source, triangularised, retried)
+    approx, source = found
+    return CertifiedApprox(approx, est, source, triangularised)
 
 
 # simple cycles recurrent_ratio_check examines at most

@@ -135,7 +135,6 @@ def test_mather_command(diag_file, tmp_path):
     assert doc["results"]["survivors_max_depth"] == ["11111111", "22222222"]
     assert doc["results"]["diagnostic"] == {"count": 2, "kind": "MultipleSCC"}
     assert doc["results"]["certified_by"] == "max_entry"
-    assert doc["results"]["retried"] is False
     assert dot_file.read_text().startswith("digraph")
 
 
@@ -241,7 +240,7 @@ def test_resource_cap_is_exit_3(nilpotent_file):
 
 
 def test_unconverged_iteration_is_exit_4(tmp_path):
-    # a pair on which the fixed-point norm iteration cycles forever
+    # a pair on which the norm iteration needs more than 20 iterations
     import numpy as np
 
     from jsrkit import MatrixSet
@@ -261,33 +260,50 @@ def test_unconverged_iteration_is_exit_4(tmp_path):
     }
     p = tmp_path / "cycling.json"
     p.write_text(json.dumps(doc))
-    run_cli("barabanov", "--input", str(p), "--resolution", "512",
-            "--max-iters", "2000", expect=4)
+    out = run_cli("barabanov", "--input", str(p), "--resolution", "512",
+                  "--max-iters", "20", expect=4)
+    assert "did not converge in 20 iterations" in out.stderr
 
 
-def test_cycling_iteration_names_its_period(tmp_path):
-    # the pair above: the exit-4 report says the iteration cycles, and how
+def _hidden_triangular_file(tmp_path, t):
+    # Q T_i Q^T with Q the rotation by 0.6
     import numpy as np
 
-    from jsrkit import MatrixSet
-    from jsrkit.bounds import estimate
+    from jsrkit.families import rotation
 
-    rng = np.random.default_rng(20250823)
-    for _ in range(2):
-        mats = [rng.normal(size=(2, 2)) for _ in range(2)]
-    b = estimate(MatrixSet(tuple(mats)), target_gap=1e-3, budget=200000, max_depth=40)
+    q = rotation(0.6)
     doc = {
         "dim": 2,
         "matrices": [
-            {"name": f"A{i + 1}", "re": (m / b.upper).tolist()}
-            for i, m in enumerate(mats)
+            {"name": f"A{i + 1}", "re": (q @ np.array(a) @ q.T).tolist()}
+            for i, a in enumerate(t)
         ],
     }
-    p = tmp_path / "cycling.json"
+    p = tmp_path / "hidden.json"
     p.write_text(json.dumps(doc))
-    out = run_cli("barabanov", "--input", str(p), "--resolution", "512",
-                  "--max-iters", "20000", expect=4)
-    assert re.search(r"limit cycle of period 3 at iteration \d+", out.stderr)
+    return str(p)
+
+
+def test_mather_triangularises_a_hidden_triangular_pair(tmp_path):
+    # its upper block [1], [-0.5] certifies
+    t = ([[1.0, 1.5], [0.0, 0.4]], [[-0.5, -1.2], [0.0, 0.3]])
+    p = _hidden_triangular_file(tmp_path, t)
+    results = run_json("mather", "--input", p, "--depth", "7")["results"]
+    assert results["certified_by"] == "max_entry"
+    assert results["triangularised"] is True
+    assert results["survivor_counts"] == {str(n): 1 for n in range(1, 8)}
+    assert results["survivors_max_depth"] == ["1" * 7]
+
+
+def test_mather_takes_the_lower_block_of_a_swapped_hidden_pair(tmp_path):
+    # diagonals swapped: the JSR 1 sits on the quotient block [1], [-0.5]
+    t = ([[0.4, 1.5], [0.0, 1.0]], [[0.3, -1.2], [0.0, -0.5]])
+    p = _hidden_triangular_file(tmp_path, t)
+    results = run_json("mather", "--input", p, "--depth", "7")["results"]
+    assert results["certified_by"] == "max_entry"
+    assert results["triangularised"] is True
+    assert abs(results["rho_hat"] - 1.0) <= 1e-12
+    assert results["survivors_max_depth"] == ["1" * 7]
 
 
 def test_config_echo_lists_every_tunable(diag_file):

@@ -16,6 +16,7 @@ from jsrkit import (
     recurrent_ratio_check,
 )
 from jsrkit import mather
+from jsrkit.families import rotation
 
 from conftest import GOLDEN, random_matrix_set
 
@@ -141,28 +142,59 @@ def test_certified_approx_triangularises_the_stall_pair():
     found = certified_approx(ms, est, 8, 5e-3, seed=0, gap=1e-3)
     assert found.triangularised
     assert found.certified_by == "max_entry"
-    assert not found.retried
     assert found.approx.rho_hat == 1.0
     assert found.bounds.lower == found.bounds.upper == 1.0
     for n in found.approx.depths:
         assert found.approx.survivors[n] == frozenset({(1,) * n})
 
 
-def test_certified_approx_retries_the_running_max_norm_once():
+def test_certified_approx_certifies_criterion5_case1_by_barabanov():
+    # the plain Barabanov step cycles on this pair; the relaxed one converges
     ms, est = _criterion5_case(1)
     found = certified_approx(ms, est, 8, 5e-3, seed=1, gap=1e-3)
-    assert found.certified_by == "extremal_norm_2d"
-    assert found.retried
+    assert found.certified_by == "barabanov"
     assert not found.triangularised
-    assert found.approx.norm.values.shape == (2048,)
+    assert found.approx.norm.values.shape == (512,)
+    assert found.approx.rho_hat <= est.lower * (1 + 5e-3)
+    assert found.approx.survivors[8]
+
+
+def test_certified_approx_triangularises_a_hidden_triangular_pair():
+    # Q T_i Q^T with Q the rotation by 0.6: no norm certifies the full set,
+    # so its upper block [1], [-0.5] is used
+    q = rotation(0.6)
+    t = (np.array([[1.0, 1.5], [0.0, 0.4]]), np.array([[-0.5, -1.2], [0.0, 0.3]]))
+    ms = MatrixSet(tuple(q @ a @ q.T for a in t))
+    est = estimate(ms, target_gap=1e-3, max_depth=24)
+    found = certified_approx(ms, est, 7, 5e-3, seed=0, gap=1e-3)
+    assert found.triangularised
+    assert found.certified_by == "max_entry"
+    assert found.approx.rho_hat == 1.0
+    for n in found.approx.depths:
+        assert found.approx.survivors[n] == frozenset({(1,) * n})
+
+
+def test_certified_approx_takes_the_lower_block_when_it_carries_the_rate():
+    # the hidden pair with its diagonals swapped: the invariant (upper)
+    # block [0.4], [0.3] stays below the JSR 1 of the quotient block
+    q = rotation(0.6)
+    t = (np.array([[0.4, 1.5], [0.0, 1.0]]), np.array([[0.3, -1.2], [0.0, -0.5]]))
+    ms = MatrixSet(tuple(q @ a @ q.T for a in t))
+    est = estimate(ms, target_gap=1e-3, max_depth=24)
+    found = certified_approx(ms, est, 7, 5e-3, seed=0, gap=1e-3)
+    assert found.triangularised
+    assert found.certified_by == "max_entry"
+    assert found.approx.rho_hat == pytest.approx(1.0, abs=1e-12)
+    assert found.bounds.upper - found.bounds.lower <= 1e-12
+    for n in found.approx.depths:
+        assert found.approx.survivors[n] == frozenset({(1,) * n})
 
 
 def test_certified_approx_does_not_rebuild_a_candidate_norm(monkeypatch):
     # the Euclidean norm certifies case 24 but its survivors empty;
     # rebuilding it would give the same norm, so nothing else is tried
     calls = []
-    for name in ("barabanov_iterate", "extremal_norm_2d"):
-        monkeypatch.setattr(mather, name, lambda *a, _n=name, **k: calls.append(_n))
+    monkeypatch.setattr(mather, "barabanov_iterate", lambda *a, **k: calls.append(1))
     ms, est = _criterion5_case(24)
     with pytest.raises(InconsistencyError):
         certified_approx(ms, est, 8, 5e-3, seed=1, gap=1e-3)

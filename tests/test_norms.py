@@ -1,6 +1,6 @@
+import copy
 import math
-import re
-import time
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from jsrkit import (
     InputError,
     MatrixSet,
     NormModel,
-    NumericalError,
     barabanov_iterate,
     check_extremal,
     classify_extremality,
@@ -96,6 +95,16 @@ def test_norm_json_round_trip():
         assert m.vector(v) == pytest.approx(n.vector(v), rel=1e-12)
 
 
+def test_angular_grid_copy_and_pickle_keep_the_cached_ball():
+    n = NormModel.angular_grid(1.0 + 0.1 * np.cos(2 * np.pi * np.arange(16) / 8))
+    v = np.array([[0.3, -1.2], [2.0, 0.5]])
+    a = np.array([[1.0, 0.5], [-0.2, 0.8]])
+    n.induced(a)  # fills the cached ball vertices
+    for m in (copy.copy(n), copy.deepcopy(n), pickle.loads(pickle.dumps(n))):
+        assert m.vector_many(v).tobytes() == n.vector_many(v).tobytes()
+        assert m.induced(a) == n.induced(a)
+
+
 def test_angular_grid_requires_antipodal_symmetry():
     vals = np.ones(16)
     vals[3] = 2.0  # breaks nu(-v) == nu(v)
@@ -129,32 +138,28 @@ def test_barabanov_rejects_reducible_sets(diag_set):
         barabanov_iterate(diag_set, resolution=64)
 
 
-# the certify benchmark's capped pair: the plain iteration cycles on it
-CAPPED_PAIR = (
-    rotation(0.7) @ np.diag([1.0, 0.4]),
-    rotation(2.5) @ np.diag([1.0, 0.6]),
-)
+def _assert_converges_and_certifies(ms):
+    # the Barabanov norm's rate is within 5e-3 of the JSR's lower bound
+    from jsrkit.bounds import estimate
+
+    est = estimate(ms, target_gap=1e-3, budget=200000, max_depth=40)
+    cert = barabanov_iterate(ms, resolution=512, tol=1e-8, max_iters=20000)
+    rate = max(cert.norm.induced(a) for a in ms.matrices)
+    assert rate <= est.lower * (1 + 5e-3)
 
 
-def _cycle_report(ms, **kwargs):
-    with pytest.raises(NumericalError) as exc:
-        barabanov_iterate(ms, **kwargs)
-    msg = str(exc.value)
-    period = int(re.search(r"period (\d+)", msg).group(1))
-    iteration = int(re.search(r"at iteration (\d+)", msg).group(1))
-    return period, iteration
+def test_barabanov_converges_on_capped_pair():
+    # the certify benchmark's capped pair: the plain step h <- T h / rho
+    # falls into a period-2 cycle on it, the relaxed step converges
+    _assert_converges_and_certifies(MatrixSet((
+        rotation(0.7) @ np.diag([1.0, 0.4]),
+        rotation(2.5) @ np.diag([1.0, 0.6]),
+    )))
 
 
-def test_barabanov_cycle_on_capped_pair_fails_fast():
-    period, iteration = _cycle_report(
-        MatrixSet(CAPPED_PAIR), resolution=512, tol=1e-8, max_iters=20000
-    )
-    assert period == 2
-    assert iteration < 100
-
-
-def test_barabanov_cycle_on_sweep_pair_fails_fast():
-    # the pair of the CLI's exit-4 test (marginal-stability sweep, case 1)
+def test_barabanov_converges_on_sweep_pair():
+    # the pair of the CLI's exit-4 test (marginal-stability sweep, case 1):
+    # the plain step falls into a period-3 cycle on it
     from jsrkit.bounds import estimate
 
     rng = np.random.default_rng(20250823)
@@ -162,14 +167,12 @@ def test_barabanov_cycle_on_sweep_pair_fails_fast():
         mats = [rng.normal(size=(2, 2)) for _ in range(2)]
     ms = MatrixSet(tuple(mats))
     ms = ms.scaled(1.0 / estimate(ms, target_gap=1e-3, budget=200000, max_depth=40).upper)
-    started = time.perf_counter()
-    period, _ = _cycle_report(ms, resolution=512, max_iters=20000)
-    assert time.perf_counter() - started < 0.5
-    assert period == 3
+    _assert_converges_and_certifies(ms)
 
 
 def test_barabanov_constant_rate_is_not_a_cycle():
-    # rho_k settles to 1e-12 long before h does at this tol: slow, not cyclic
+    # rho_k settles to 1e-12 long before h does at this tol: the stop rule
+    # waits for h as well
     cert = barabanov_iterate(pair_family(0.1), resolution=512, tol=1e-13)
     assert cert.iterations > 100
 
@@ -207,7 +210,8 @@ def _reference_barabanov(ms, m, tol, max_iters, seed):
     for it in range(1, max_iters + 1):
         grid, g = _reference_step(ms, m, h)
         rho = float(np.max(g))
-        h_new = g / rho
+        h_new = 0.5 * (g / rho + h)
+        h_new = h_new / h_new.max()
         change = float(np.max(np.abs(h_new - h)))
         if not math.isnan(rho_prev) and abs(rho - rho_prev) <= tol and change <= tol:
             streak += 1
@@ -271,7 +275,7 @@ def test_extremal_norm_construction_certifies_rate(shear_pair):
 
 
 def test_extremal_norm_construction_on_stubborn_pairs():
-    # pairs on which the fixed-point iteration cycles instead of converging
+    # pairs on which the plain fixed-point step h <- T h / rho cycles
     from jsrkit.bounds import estimate
 
     rng = np.random.default_rng(20250823)
