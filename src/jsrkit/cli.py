@@ -16,6 +16,8 @@ writes (--dot, --csv).  Every enclosure prints as ``JsrBounds.to_json``,
 library's settings, the estimate's gap and budget among them.  An input
 ``chain`` block brings its own seed, so ``stability --seed`` beside it is an
 input error, and the echoed seed is always the one the Markov trials use.
+``mather`` estimates the set, and the block it may triangularise to, at
+the fixed depth cap ``mather.ESTIMATE_DEPTH`` (24), which is no flag.
 """
 
 from __future__ import annotations
@@ -199,7 +201,9 @@ def cmd_barabanov(ms, args) -> dict:
 
 
 def cmd_mather(ms, args) -> dict:
-    est = jsr_bounds.estimate(ms, target_gap=args.gap, max_depth=24)
+    est = jsr_bounds.estimate(
+        ms, target_gap=args.gap, max_depth=mather_mod.ESTIMATE_DEPTH
+    )
     found = mather_mod.certified_approx(
         ms, est, args.depth, args.tol, args.seed, args.gap
     )

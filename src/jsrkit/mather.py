@@ -7,7 +7,9 @@ exactly by construction: every prefix of a survivor is a survivor, and the
 one-step shift of a survivor is a survivor one level down.  The depth-n
 survivors over-approximate the depth-n language of the maximising set
 whenever the supplied norm is extremal and rho_hat is at least the true
-growth rate.  ``certified_approx`` finds such a norm and rate first.
+growth rate.  ``certified_approx`` finds such a norm and rate first
+(``norms.certified_norm``), on the set or, when no norm passes on a
+reducible set, on the diagonal block that carries the growth rate.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from .bounds import JsrBounds, estimate
 from .cocycle import _rates, _rescale, evaluate
 from .errors import InconsistencyError, InputError, NumericalError, ResourceCapError
 from .matrices import MatrixSet
-from .norms import NormModel, candidate_norms, check_extremal, classify_extremality
-from .norms import barabanov_iterate
+from .norms import NormModel, certified_norm, check_extremal, classify_extremality
 from .words import WordGraph, strongly_connected_components
 
 __all__ = [
@@ -157,41 +158,16 @@ class CertifiedApprox:
     triangularised: bool
 
 
-def _rate(ms: MatrixSet, norm: NormModel) -> float:
-    return max(norm.induced(a) for a in ms.matrices)
+# depth cap of the enclosures ``_growth_block`` and ``jsrkit mather`` estimate
+ESTIMATE_DEPTH = 24
 
 
-def _certified_norm(ms, budget, seed):
-    """(norm, rate, source) of the first norm whose rate max_i nu_ind(A_i)
-    is within budget: candidates, then Barabanov for real 2x2 sets.  None
-    if no norm passes."""
-    for cand in candidate_norms(ms):
-        rho_c = _rate(ms, cand)
-        if rho_c <= budget:
-            return cand, rho_c, cand.kind
-    if not (ms.dim == 2 and ms.is_real()):
-        return None
-    try:
-        cert = barabanov_iterate(
-            ms, resolution=512, tol=1e-8, max_iters=20000, seed=seed
-        )
-    except (InputError, NumericalError):
-        return None
-    rho_c = _rate(ms, cert.norm)
-    return (cert.norm, rho_c, "barabanov") if rho_c <= budget else None
-
-
-def _approx_under_certified_norm(ms, est, depth, tol, seed):
-    """(approx, source), or None when no norm certifies a rate within
-    est.lower * (1 + tol)."""
+def _certify(ms, est, tol):
+    """``certified_norm`` at budget est.lower * (1 + tol); None when
+    est.lower is 0."""
     if est.lower <= 0.0:
         return None
-    found = _certified_norm(ms, est.lower * (1.0 + tol), seed)
-    if found is None:
-        return None
-    norm, rho_c, source = found
-    approx = build_mather_approx(ms, norm, rho_c, max_depth=depth, tol=tol)
-    return approx, source
+    return certified_norm(ms, est.lower * (1.0 + tol))
 
 
 def _growth_block(tri, floor, gap):
@@ -200,7 +176,7 @@ def _growth_block(tri, floor, gap):
     block-triangular set is the larger of its blocks' JSRs, so a block
     below a lower bound on it cannot carry the growth rate."""
     for blocks in (tri.upper_blocks, tri.lower_blocks):
-        est = estimate(blocks, target_gap=gap, max_depth=24)
+        est = estimate(blocks, target_gap=gap, max_depth=ESTIMATE_DEPTH)
         if est.upper >= floor:
             return blocks, est
     raise NumericalError(
@@ -215,35 +191,34 @@ def certified_approx(
     """Certify the growth rate of ``ms`` with an extremal norm and build the
     depth-``depth`` survivor sets under it; ``est`` encloses its JSR.
 
-    When no norm certifies and the set is reducible with unbounded
-    products, the diagonal block that carries the growth rate -- the upper
-    one unless its upper bound falls below ``est.lower * (1 - tol)`` -- is
-    re-estimated (``target_gap=gap``, depth 24) and run through the same
-    steps once more.  Raises ``NumericalError`` when no norm certifies or
-    neither block reaches the growth rate, ``InconsistencyError`` when the
-    survivor sets empty.
+    The norm is the first that ``norms.certified_norm`` finds with rate at
+    most ``est.lower * (1 + tol)``.  When none passes and the set is
+    reducible, it is triangularised (``seed`` drives the subspace search)
+    and the diagonal block that carries the growth rate -- the upper one
+    unless its upper bound falls below ``est.lower * (1 - tol)`` -- is
+    re-estimated (``target_gap=gap``, depth ``ESTIMATE_DEPTH``) and
+    certified the same way.  Raises ``NumericalError`` when no norm
+    certifies or neither block reaches the growth rate,
+    ``InconsistencyError`` when the survivor sets empty.
     """
     triangularised = False
-    found = _approx_under_certified_norm(ms, est, depth, tol, seed)
+    found = _certify(ms, est, tol)
     if found is None:
         try:
-            sub = reducibility.find_common_invariant_subspace(ms)
-        except NumericalError:
-            sub = None
-        if (
-            sub is not None
-            and reducibility.product_boundedness(ms).status != "Bounded"
-        ):
             tri = reducibility.triangularise(ms, seed=seed)
+        except InputError:  # irreducible: no diagonal block to fall back on
+            pass
+        else:
             ms, est = _growth_block(tri, est.lower * (1.0 - tol), gap)
             triangularised = True
-            found = _approx_under_certified_norm(ms, est, depth, tol, seed)
+            found = _certify(ms, est, tol)
     if found is None:
         raise NumericalError(
             "no extremal norm could be certified; Barabanov iteration failed "
             "or does not apply"
         )
-    approx, source = found
+    norm, rho_c, source = found
+    approx = build_mather_approx(ms, norm, rho_c, max_depth=depth, tol=tol)
     return CertifiedApprox(approx, est, source, triangularised)
 
 

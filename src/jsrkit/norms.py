@@ -36,6 +36,7 @@ __all__ = [
     "BarabanovCertificate",
     "check_extremal",
     "barabanov_iterate",
+    "certified_norm",
     "extremal_norm_2d",
     "classify_extremality",
     "kozyakin_extremal_witness",
@@ -274,11 +275,14 @@ def check_extremal(norm: NormModel, ms: MatrixSet, rho_hat: float, tol: float):
     """
     if rho_hat < 0.0:
         raise InputError("rho_hat must be >= 0")
-    worst = -math.inf
-    for a in ms.matrices:
-        nu = norm.induced(a)
-        worst = max(worst, nu / rho_hat - 1.0 if rho_hat > 0.0 else nu)
+    rate = _rate(ms, norm)
+    worst = rate / rho_hat - 1.0 if rho_hat > 0.0 else rate
     return worst <= tol, worst
+
+
+def _rate(ms: MatrixSet, norm: NormModel) -> float:
+    """max_i induced(A_i): the growth rate ``norm`` certifies for ``ms``."""
+    return max(norm.induced(a) for a in ms.matrices)
 
 
 def residual_on(norm: NormModel, ms: MatrixSet, rho_hat: float, points: np.ndarray):
@@ -398,6 +402,26 @@ def barabanov_iterate(
                 operand=h,
             )
     return BarabanovCertificate(norm=norm, rho_hat=rho, residual=residual, iterations=it)
+
+
+def certified_norm(ms: MatrixSet, budget: float):
+    """``(norm, rate, source)`` of the first norm whose rate
+    max_i induced(A_i) is at most ``budget``, or None: ``candidate_norms``
+    in order, then for real 2x2 sets a Barabanov norm (resolution 512, tol
+    1e-8; an iteration that raises certifies nothing).  ``source`` is the
+    norm's kind, or ``barabanov``."""
+    for cand in candidate_norms(ms):
+        rate = _rate(ms, cand)
+        if rate <= budget:
+            return cand, rate, cand.kind
+    if not (ms.dim == 2 and ms.is_real()):
+        return None
+    try:
+        cert = barabanov_iterate(ms, resolution=512, tol=1e-8)
+    except (InputError, NumericalError):
+        return None
+    rate = _rate(ms, cert.norm)
+    return (cert.norm, rate, "barabanov") if rate <= budget else None
 
 
 def extremal_norm_2d(

@@ -19,7 +19,7 @@ from .bounds import estimate
 from .cocycle import _extend, _log_norms
 from .errors import InputError, NumericalError
 from .matrices import MatrixSet, max_entry_norm
-from .norms import barabanov_iterate, candidate_norms, check_extremal
+from .norms import certified_norm
 
 __all__ = [
     "find_common_invariant_subspace",
@@ -32,7 +32,7 @@ __all__ = [
 _SUBSPACE_ATTEMPTS = 12  # random span members tried for an eigenvector orbit
 _GROWTH_DEPTH = 64  # product length of the growth fit
 _GROWTH_BEAM = 256  # products kept per level of the growth fit
-_BOUNDED_TOL = 1e-6  # relative slack on the extremal-norm check
+_BOUNDED_TOL = 1e-6  # relative slack on the certified norm's rate
 
 
 def _algebra_rank(ms: MatrixSet, tol: float) -> int:
@@ -244,9 +244,10 @@ class BoundednessVerdict:
 def product_boundedness(ms: MatrixSet) -> BoundednessVerdict:
     """Diagnose whether rho-normalised products stay uniformly bounded.
 
-    First tries to certify Bounded with an extremal norm (fixed candidate
-    norms, then a Barabanov construction for irreducible real 2x2 sets),
-    with a relative slack of ``_BOUNDED_TOL``.  Failing that, fits the
+    rho is the lower end of an ``estimate`` of the JSR.  First asks
+    ``norms.certified_norm`` for a norm whose rate is at most
+    rho * (1 + ``_BOUNDED_TOL`` + gap/rho), gap the width of that
+    enclosure; one that passes certifies Bounded.  Failing that, fits the
     growth of the largest normalised product norm against depth on a
     log-log scale, up to depth ``_GROWTH_DEPTH`` (beam search keeping
     ``_GROWTH_BEAM`` products a level, so the fit is a lower envelope): an
@@ -261,28 +262,11 @@ def product_boundedness(ms: MatrixSet) -> BoundednessVerdict:
                 status="Bounded", depth=0, max_scaled_norm=0.0, certificate=None
             )
         return BoundednessVerdict(status="Unknown", depth=0, max_scaled_norm=math.inf)
-    slack = _BOUNDED_TOL + max(est.gap / rho, 0.0)
-    for cand in candidate_norms(ms):
-        ok, _ = check_extremal(cand, ms, rho, slack)
-        if ok:
-            return BoundednessVerdict(
-                status="Bounded", depth=0, max_scaled_norm=1.0, certificate=cand
-            )
-    if ms.dim == 2 and ms.is_real():
-        try:
-            cert = barabanov_iterate(ms, resolution=512, tol=1e-8, max_iters=5000)
-            ok, _ = check_extremal(
-                cert.norm, ms, rho, slack + 3.0 * cert.residual
-            )
-            if ok:
-                return BoundednessVerdict(
-                    status="Bounded",
-                    depth=0,
-                    max_scaled_norm=1.0,
-                    certificate=cert.norm,
-                )
-        except (InputError, NumericalError):
-            pass
+    found = certified_norm(ms, rho * (1.0 + _BOUNDED_TOL + est.gap / rho))
+    if found is not None:
+        return BoundednessVerdict(
+            status="Bounded", depth=0, max_scaled_norm=1.0, certificate=found[0]
+        )
 
     # growth fit on the rho-normalised beam maxima
     stack = ms.stack()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jsrkit import MatrixSet
+from jsrkit import MatrixSet, estimate
 
 GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
@@ -40,3 +40,15 @@ def random_matrix_set(rng, dim=None, size=None, complex_entries=False):
             m = m + 1j * rng.normal(size=(dim, dim))
         mats.append(m)
     return MatrixSet(tuple(mats))
+
+
+def criterion5_case(k):
+    """Case k of acceptance criterion 5: a random pair scaled to JSR ~ 1,
+    with its enclosure."""
+    rng = np.random.default_rng(20250823)
+    for _ in range(k + 1):
+        mats = [rng.normal(size=(2, 2)) for _ in range(2)]
+    ms = MatrixSet(tuple(mats))
+    b0 = estimate(ms, target_gap=1e-3, budget=200000, max_depth=40)
+    ms = ms.scaled(1.0 / b0.upper)
+    return ms, estimate(ms, target_gap=1e-3, budget=200000, max_depth=40)

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every import is used, the
-third-party modules imported are the declared dependencies, and only
-``cocycle`` touches the power-of-two rescale."""
+third-party modules imported are the declared dependencies, only
+``cocycle`` touches the power-of-two rescale, and only ``norms`` runs the
+certify ladder."""
 
 import ast
 import pathlib
@@ -98,3 +99,18 @@ def test_rescale_arithmetic_lives_in_cocycle():
         if re.search(r"\b(frexp|ldexp|log2)\b", path.read_text(encoding="utf-8"))
     }
     assert users == {"cocycle.py"}
+
+
+def test_certify_ladder_lives_in_norms():
+    # one ladder, norms.certified_norm: other modules ask it for a norm
+    # rather than trying the candidates or a Barabanov norm themselves
+    def callers(name):
+        pattern = re.compile(rf"\b{name}\(")
+        return {
+            path.name
+            for path in SRC.glob("*.py")
+            if pattern.search(path.read_text(encoding="utf-8"))
+        }
+
+    assert callers("candidate_norms") == {"norms.py"}
+    assert callers("barabanov_iterate") == {"norms.py", "cli.py"}

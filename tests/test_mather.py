@@ -5,6 +5,7 @@ from jsrkit import (
     InconsistencyError,
     MatrixSet,
     NormModel,
+    NumericalError,
     ResourceCapError,
     barabanov_iterate,
     build_mather_approx,
@@ -15,10 +16,10 @@ from jsrkit import (
     minimal_set_diagnostic,
     recurrent_ratio_check,
 )
-from jsrkit import mather
+from jsrkit import mather, norms, reducibility
 from jsrkit.families import rotation
 
-from conftest import GOLDEN, random_matrix_set
+from conftest import GOLDEN, criterion5_case, random_matrix_set
 
 
 @pytest.fixture
@@ -124,19 +125,14 @@ def test_find_extremal_prefix_stops_at_its_budget(monkeypatch):
         find_extremal_prefix(ms, NormModel.sup(2), 1.0, 4)
 
 
-def _criterion5_case(k):
-    """Case k of acceptance criterion 5: a random pair scaled to JSR ~ 1."""
-    rng = np.random.default_rng(20250823)
-    for _ in range(k + 1):
-        mats = [rng.normal(size=(2, 2)) for _ in range(2)]
-    ms = MatrixSet(tuple(mats))
-    b0 = estimate(ms, target_gap=1e-3, budget=200000, max_depth=40)
-    ms = ms.scaled(1.0 / b0.upper)
-    return ms, estimate(ms, target_gap=1e-3, budget=200000, max_depth=40)
+def test_certified_approx_triangularises_the_stall_pair(monkeypatch):
+    # no norm certifies the full set; its upper block [1], [0.5] is exact.
+    # The set's products are unbounded, and no boundedness test is needed
+    # to see that the block carries the rate.
+    def no_boundedness_test(ms):
+        raise AssertionError("product_boundedness called")
 
-
-def test_certified_approx_triangularises_the_stall_pair():
-    # no norm certifies the full set; its upper block [1], [0.5] is exact
+    monkeypatch.setattr(reducibility, "product_boundedness", no_boundedness_test)
     ms = MatrixSet((np.array([[1.0, 100.0], [0.0, 1.0]]), 0.5 * np.eye(2)))
     est = estimate(ms, target_gap=1e-3, max_depth=24, budget=20000)
     found = certified_approx(ms, est, 8, 5e-3, seed=0, gap=1e-3)
@@ -150,7 +146,7 @@ def test_certified_approx_triangularises_the_stall_pair():
 
 def test_certified_approx_certifies_criterion5_case1_by_barabanov():
     # the plain Barabanov step cycles on this pair; the relaxed one converges
-    ms, est = _criterion5_case(1)
+    ms, est = criterion5_case(1)
     found = certified_approx(ms, est, 8, 5e-3, seed=1, gap=1e-3)
     assert found.certified_by == "barabanov"
     assert not found.triangularised
@@ -190,12 +186,41 @@ def test_certified_approx_takes_the_lower_block_when_it_carries_the_rate():
         assert found.approx.survivors[n] == frozenset({(1,) * n})
 
 
+def test_certified_approx_triangularises_a_set_with_bounded_products():
+    # an orthogonally conjugated triangular pair whose upper block
+    # [-0.98333...], [0.93057...] carries the JSR.  Its scaled products
+    # are bounded, yet no norm certifies the full set at est.lower * (1 + tol)
+    # and Barabanov rejects it as reducible; the block is certified.
+    ms = MatrixSet((
+        np.array([[-0.6645118014151852, 0.21457044730585542],
+                  [1.2205336368612845, -0.16189374202853224]]),
+        np.array([[0.9055707767128001, -0.01682803024715058],
+                  [-0.7011498946571988, 0.4586901844542238]]),
+    ))
+    est = estimate(ms, target_gap=1e-3, max_depth=24)
+    found = certified_approx(ms, est, 6, 5e-3, seed=0, gap=1e-3)
+    assert found.triangularised
+    assert found.certified_by == "max_entry"
+    assert found.approx.rho_hat == pytest.approx(0.9833314210796767, rel=1e-12)
+    for n in found.approx.depths:
+        assert found.approx.survivors[n] == frozenset({(1,) * n})
+
+
 def test_certified_approx_does_not_rebuild_a_candidate_norm(monkeypatch):
     # the Euclidean norm certifies case 24 but its survivors empty;
     # rebuilding it would give the same norm, so nothing else is tried
     calls = []
-    monkeypatch.setattr(mather, "barabanov_iterate", lambda *a, **k: calls.append(1))
-    ms, est = _criterion5_case(24)
+    monkeypatch.setattr(norms, "barabanov_iterate", lambda *a, **k: calls.append(1))
+    ms, est = criterion5_case(24)
     with pytest.raises(InconsistencyError):
         certified_approx(ms, est, 8, 5e-3, seed=1, gap=1e-3)
     assert calls == []
+
+
+def test_certified_approx_rejects_an_irreducible_set_no_norm_certifies():
+    # no candidate norm certifies this irreducible 3x3 pair and Barabanov
+    # does not apply; there is no diagonal block to fall back on
+    ms = random_matrix_set(np.random.default_rng(3), dim=3, size=2)
+    est = estimate(ms, target_gap=1e-3, max_depth=24)
+    with pytest.raises(NumericalError, match="no extremal norm could be certified"):
+        certified_approx(ms, est, 4, 5e-3, seed=0, gap=1e-3)

@@ -10,7 +10,7 @@ from jsrkit import (
     triangularise,
 )
 
-from conftest import random_matrix_set
+from conftest import criterion5_case, random_matrix_set
 
 
 def test_diagonal_pair_is_reducible(diag_set):
@@ -90,3 +90,13 @@ def test_boundedness_contractive_random():
     ms = ms.scaled(0.3 / max(np.linalg.norm(a, 2) for a in ms.matrices))
     verdict = product_boundedness(ms)
     assert verdict.status == "Bounded"
+
+
+def test_boundedness_certified_by_a_barabanov_norm():
+    # no candidate norm reaches this irreducible pair's rate; the Barabanov
+    # norm of the certify ladder does
+    ms, _ = criterion5_case(1)
+    verdict = product_boundedness(ms)
+    assert verdict.status == "Bounded"
+    assert verdict.certificate.kind == "angular_grid"
+    assert verdict.certificate.values.shape == (512,)
