@@ -36,6 +36,7 @@ from . import mather as mather_mod
 from . import norms as norms_mod
 from . import oneratio, reducibility, stability, subadditive
 from .errors import InputError, NumericalError, ResourceCapError
+from .errors import require_fields, require_int
 from .families import FAMILIES
 from .matrices import MatrixSet
 
@@ -64,12 +65,9 @@ def load_input_document(path: str) -> dict:
 
 
 def matrix_set_from_document(doc: dict) -> MatrixSet:
-    if "dim" not in doc or "matrices" not in doc:
-        raise InputError("input document needs 'dim' and 'matrices'")
-    d = doc["dim"]
-    if not isinstance(d, int) or d < 1:
+    d, entries = require_fields(doc, "input document", "dim", "matrices")
+    if require_int(d, "'dim'") < 1:
         raise InputError("'dim' must be a positive integer")
-    entries = doc["matrices"]
     if not isinstance(entries, list) or not entries:
         raise InputError("'matrices' must be a nonempty list")
     mats = []
@@ -77,8 +75,11 @@ def matrix_set_from_document(doc: dict) -> MatrixSet:
     for k, item in enumerate(entries):
         if not isinstance(item, dict) or "re" not in item:
             raise InputError(f"matrix #{k + 1} must be an object with 're'")
-        re_part = np.asarray(item["re"], dtype=np.float64)
-        im_part = np.asarray(item.get("im", np.zeros((d, d))), dtype=np.float64)
+        try:
+            re_part = np.asarray(item["re"], dtype=np.float64)
+            im_part = np.asarray(item.get("im", np.zeros_like(re_part)), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"matrix #{k + 1} entries must be numbers: {exc}") from exc
         if re_part.shape != (d, d) or im_part.shape != (d, d):
             raise InputError(f"matrix #{k + 1} must be {d}x{d}")
         mats.append(re_part + 1j * im_part)

@@ -90,8 +90,8 @@ class MatrixSet:
     def scaled(self, c: float) -> "MatrixSet":
         return MatrixSet(c * self._stack, self.labels)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self._stack.imag)) <= tol)
+    def is_real(self) -> bool:
+        return not np.any(self._stack.imag)
 
     def stack(self) -> np.ndarray:
         return self._stack.copy()

@@ -1,12 +1,11 @@
 """Candidate norm models and extremal / Barabanov norm machinery.
 
 A norm model is a computable vector norm together with its induced matrix
-norm.  Five kinds are supported:
+norm.  Four kinds are supported:
 
 * ``euclidean`` -- the Euclidean norm; induced norm = largest singular value.
 * ``max_entry`` -- the sup norm max|v_i|; induced norm = max abs row sum.
 * ``weighted_diag`` -- max_i w_i |v_i| with positive weights.
-* ``polytope`` -- Minkowski gauge of a symmetric vertex polytope (real, any d).
 * ``angular_grid`` -- piecewise-linear-in-angle norm on R^2, stored as the
   norm values h_j on uniformly spaced unit directions.
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .cocycle import prefix_values
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, require_fields, require_int
 from .matrices import MatrixSet, max_entry_norm, operator_norm
 
 __all__ = [
@@ -51,9 +50,8 @@ class NormModel:
     """A computable vector norm with its induced matrix norm.
 
     ``params`` holds kind-specific data: nothing (euclidean / max_entry),
-    ``weights`` (weighted_diag), ``vertices`` as an (m, d) array (polytope),
-    or ``values`` as the length-m array of norm values on the uniform
-    angular grid (angular_grid).
+    ``weights`` (weighted_diag), or ``values`` as the length-m array of norm
+    values on the uniform angular grid (angular_grid).
 
     An angular grid need not bound a convex ball.  On one that does not,
     ``vector`` and ``induced`` are not a norm's values: ``vector`` is the
@@ -68,17 +66,10 @@ class NormModel:
     kind: str
     dim: int
     weights: np.ndarray = None
-    vertices: np.ndarray = None
     values: np.ndarray = None
 
     def __post_init__(self):
-        if self.kind not in (
-            "euclidean",
-            "max_entry",
-            "weighted_diag",
-            "polytope",
-            "angular_grid",
-        ):
+        if self.kind not in ("euclidean", "max_entry", "weighted_diag", "angular_grid"):
             raise InputError(f"unknown norm kind {self.kind!r}")
         if self.dim < 1:
             raise InputError("dimension must be >= 1")
@@ -87,19 +78,6 @@ class NormModel:
             if w.shape != (self.dim,) or np.any(w <= 0) or not np.all(np.isfinite(w)):
                 raise InputError("weights must be positive finite, one per axis")
             object.__setattr__(self, "weights", w)
-        if self.kind == "polytope":
-            v = np.asarray(self.vertices, dtype=np.float64)
-            if v.ndim != 2 or v.shape[1] != self.dim:
-                raise InputError("vertices must be an (m, d) array")
-            if np.linalg.matrix_rank(v) < self.dim:
-                raise InputError("polytope vertices must span R^d")
-            # symmetry: each vertex must have its negation in the set
-            for row in v:
-                if np.min(np.linalg.norm(v + row, axis=1)) > 1e-9 * (
-                    1 + np.linalg.norm(row)
-                ):
-                    raise InputError("polytope vertex set must be symmetric")
-            object.__setattr__(self, "vertices", v)
         if self.kind == "angular_grid":
             if self.dim != 2:
                 raise InputError("angular_grid norms exist only in dimension 2")
@@ -137,31 +115,11 @@ class NormModel:
         if np.max(np.abs(np.imag(points))) > 0.0:
             raise InputError(f"{self.kind} norms are defined on real vectors only")
         points = np.real(points).astype(np.float64)
-        if self.kind == "angular_grid":
-            vx, vy = self._grid_ball_vertices
-            return _kernels.polygon_gauge(points[:, 0], points[:, 1], vx, vy)
-        return np.array([self._polytope_gauge(p) for p in points])
+        vx, vy = self._grid_ball_vertices
+        return _kernels.polygon_gauge(points[:, 0], points[:, 1], vx, vy)
 
     def vector(self, v) -> float:
         return float(self.vector_many(np.asarray(v)[None, :])[0])
-
-    def _polytope_gauge(self, p: np.ndarray) -> float:
-        from scipy.optimize import linprog
-
-        if np.max(np.abs(p)) == 0.0:
-            return 0.0
-        m = self.vertices.shape[0]
-        # minimise sum(lambda) s.t. V^T lambda = p, lambda >= 0
-        res = linprog(
-            c=np.ones(m),
-            A_eq=self.vertices.T,
-            b_eq=p,
-            bounds=[(0, None)] * m,
-            method="highs",
-        )
-        if not res.success:
-            raise NumericalError("polytope gauge LP failed", operand=p)
-        return float(res.fun)
 
     # ---- induced matrix norm ------------------------------------------
 
@@ -180,12 +138,9 @@ class NormModel:
             return float(np.max(np.sum(scaled, axis=1)))
         if np.max(np.abs(np.imag(a))) > 0.0:
             raise InputError(f"{self.kind} induced norms need real matrices")
-        ar = np.real(a)
-        if self.kind == "angular_grid":
-            vx, vy = self._grid_ball_vertices
-            ball = np.stack([vx, vy], axis=1)
-            return float(np.max(self.vector_many(ball @ ar.T)))
-        return float(np.max(self.vector_many(self.vertices @ ar.T)))
+        vx, vy = self._grid_ball_vertices
+        ball = np.stack([vx, vy], axis=1)
+        return float(np.max(self.vector_many(ball @ np.real(a).T)))
 
     # ---- serialisation -------------------------------------------------
 
@@ -193,21 +148,14 @@ class NormModel:
         out = {"kind": self.kind, "dim": self.dim}
         if self.weights is not None:
             out["weights"] = self.weights.tolist()
-        if self.vertices is not None:
-            out["vertices"] = self.vertices.tolist()
         if self.values is not None:
             out["values"] = self.values.tolist()
         return out
 
     @classmethod
     def from_json(cls, doc: dict) -> "NormModel":
-        return cls(
-            kind=doc["kind"],
-            dim=doc["dim"],
-            weights=doc.get("weights"),
-            vertices=doc.get("vertices"),
-            values=doc.get("values"),
-        )
+        kind, dim = require_fields(doc, "norm", "kind", "dim")
+        return cls(kind, require_int(dim, "dim"), doc.get("weights"), doc.get("values"))
 
     @classmethod
     def euclidean(cls, dim: int) -> "NormModel":
@@ -221,11 +169,6 @@ class NormModel:
     def weighted(cls, weights) -> "NormModel":
         w = np.asarray(weights, dtype=np.float64)
         return cls(kind="weighted_diag", dim=w.shape[0], weights=w)
-
-    @classmethod
-    def polytope(cls, vertices) -> "NormModel":
-        v = np.asarray(vertices, dtype=np.float64)
-        return cls(kind="polytope", dim=v.shape[1], vertices=v)
 
     @classmethod
     def angular_grid(cls, values) -> "NormModel":
@@ -510,8 +453,6 @@ def test_directions(norm: NormModel, dim: int):
     if norm.kind == "angular_grid":
         vx, vy = norm._grid_ball_vertices
         dirs += [np.array([x, y]) for x, y in zip(vx, vy)]
-    elif norm.kind == "polytope":
-        dirs += [v for v in norm.vertices]
     rng = np.random.default_rng(_DIRECTIONS_SEED)
     extra = rng.normal(size=(_RANDOM_DIRECTIONS, dim))
     dirs += [v for v in extra]

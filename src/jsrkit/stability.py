@@ -11,14 +11,13 @@ almost-everywhere statement.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds as jsr_bounds
 from .cocycle import path_log_norms
-from .errors import InputError
+from .errors import InputError, require_fields, require_int
 from .matrices import MatrixSet
 
 __all__ = [
@@ -46,8 +45,11 @@ class MarkovChainSpec:
     __slots__ = ("_rows", "seed")
 
     def __init__(self, transition, initial, seed: int = 0):
-        p = np.asarray(transition, dtype=np.float64)
-        pi = np.asarray(initial, dtype=np.float64)
+        try:
+            p = np.asarray(transition, dtype=np.float64)
+            pi = np.asarray(initial, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"chain entries must be numbers: {exc}") from exc
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise InputError("transition matrix must be square")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(pi))):
@@ -56,6 +58,7 @@ class MarkovChainSpec:
             raise InputError("transition rows must be nonnegative and sum to 1")
         if pi.shape != (p.shape[0],) or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise InputError("initial distribution must match and sum to 1")
+        seed = require_int(seed, "seed")
         if seed < 0:
             raise InputError("seed must be nonnegative")
         rows = np.vstack([p, pi])
@@ -98,11 +101,8 @@ class MarkovChainSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MarkovChainSpec":
-        return cls(
-            transition=np.asarray(doc["transition"], dtype=np.float64),
-            initial=np.asarray(doc["initial"], dtype=np.float64),
-            seed=int(doc.get("seed", 0)),
-        )
+        transition, initial = require_fields(doc, "chain", "transition", "initial")
+        return cls(transition, initial, seed=doc.get("seed", 0))
 
     def to_json(self) -> dict:
         return {
@@ -234,10 +234,7 @@ def markov_lyapunov(
         raise InputError("chain state count must match the matrix set")
     if not chain.full:
         raise InputError("the Markov chain must be full (all transitions positive)")
-    for name, value in (("horizon", horizon), ("trials", trials)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InputError(f"{name} must be an integer, not {value!r}")
-    horizon, trials = int(horizon), int(trials)
+    horizon, trials = require_int(horizon, "horizon"), require_int(trials, "trials")
     if horizon < 1 or trials < 1:
         raise InputError("horizon and trials must be >= 1")
     stack = ms.stack()

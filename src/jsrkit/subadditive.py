@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _SPOT_TOL = 1e-9  # slack spot_check allows f(w) over the sum of its parts
+_WORD_CAP = 2**20  # words per level beta_sandwich and subordination_survivors may read
 
 
 @dataclass(frozen=True)
@@ -92,18 +93,18 @@ def matrix_observable(ms: MatrixSet, norm: str = "op") -> SubadditiveObservable:
     )
 
 
-def _levels(obs: SubadditiveObservable, depth: int, cap: int):
+def _levels(obs: SubadditiveObservable, depth: int):
     """f_n over all length-n words in lexicographic order, one list per n.
 
-    Raises past the word cap before anything is evaluated.  Uses the
+    Raises past ``_WORD_CAP`` before anything is evaluated.  Uses the
     observable's ``level_values`` when it has them, else evaluates word by
     word.
     """
-    enumerate_words(obs.alphabet_size, depth, cap)  # raises past the cap; makes no word
+    enumerate_words(obs.alphabet_size, depth, _WORD_CAP)  # makes no word
     if obs.level_values is not None:
         return obs.level_values(depth)
     return (
-        [obs(w) for w in enumerate_words(obs.alphabet_size, n, cap)]
+        [obs(w) for w in enumerate_words(obs.alphabet_size, n, _WORD_CAP)]
         for n in range(1, depth + 1)
     )
 
@@ -139,7 +140,6 @@ def beta_sandwich(
     obs: SubadditiveObservable,
     depth: int,
     max_period: int,
-    cap: int = 2**20,
 ) -> tuple:
     """Two-sided enclosure of the maximal ergodic average of the observable.
 
@@ -153,7 +153,7 @@ def beta_sandwich(
     cap is one full level of ell**depth values, as in
     ``bounds.upper_bound_at_depth``; otherwise every word is evaluated on
     its own.  Raises ``ResourceCapError`` before evaluating anything when
-    ell**depth exceeds ``cap``.
+    ell**depth exceeds ``_WORD_CAP``.
 
     lower = max over primitive periodic words w of period p <= max_period
     of the rate of w.  With the observable's exact ``periodic_rates`` that
@@ -167,7 +167,7 @@ def beta_sandwich(
     if depth < 1 or max_period < 1:
         raise InputError("depth and max_period must be >= 1")
     upper = math.inf
-    for n, values in enumerate(_levels(obs, depth, cap), start=1):
+    for n, values in enumerate(_levels(obs, depth), start=1):
         upper = min(upper, max(values) / n)
     if math.isfinite(upper):
         upper = math.nextafter(upper, math.inf)
@@ -189,7 +189,6 @@ def subordination_survivors(
     lam: float,
     depth: int,
     tol: float,
-    cap: int = 2**20,
 ) -> dict:
     """Words whose every prefix nearly attains the maximal average lam.
 
@@ -199,14 +198,14 @@ def subordination_survivors(
     lexicographic levels of f_n as ``beta_sandwich``: batched with the
     observable's ``level_values``, with peak memory one full level at the
     cap, else word by word.  Raises ``ResourceCapError`` before evaluating
-    anything when ell**depth exceeds ``cap``.
+    anything when ell**depth exceeds ``_WORD_CAP``.
     """
     ell = obs.alphabet_size
     if depth < 1:
         raise InputError("depth must be >= 1")
     survivors = {}
     level = [((), 0)]  # surviving words with their index in the level
-    for n, values in enumerate(_levels(obs, depth, cap), start=1):
+    for n, values in enumerate(_levels(obs, depth), start=1):
         sup = max(values)
         if abs(sup - n * lam) > tol * max(1.0, n):
             raise InputError(

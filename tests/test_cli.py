@@ -224,10 +224,43 @@ def test_missing_input_is_exit_2():
     run_cli("estimate", expect=2)
 
 
-def test_malformed_document_is_exit_2(tmp_path):
+CHAIN = {"transition": [[0.5, 0.5], [0.5, 0.5]], "initial": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "cmd, doc",
+    [
+        ("estimate", {"dim": 2, "matrices": []}),
+        ("estimate", {"dim": True, "matrices": [{"re": [[2]]}]}),
+        ("estimate", {"dim": 2, "matrices": [{"re": [["a", 0], [0, 1]]}]}),
+        ("estimate", {"dim": 2, "matrices": [{"re": [[1, 0], [0]]}]}),
+        ("estimate", {"dim": 10**8, "matrices": [{"re": [[1, 0], [0, 1]]}]}),
+        ("stability", dict(DIAG_DOC, chain={"initial": [0.5, 0.5]})),
+        ("stability", dict(DIAG_DOC, chain=[[0.5, 0.5], [0.5, 0.5]])),
+        ("stability", dict(DIAG_DOC, chain=dict(CHAIN, transition=[[0.5, 0.5], [0.5]]))),
+        ("stability", dict(DIAG_DOC, chain=dict(CHAIN, seed="abc"))),
+        ("stability", dict(DIAG_DOC, chain=dict(CHAIN, seed=2.7))),
+        ("stability", dict(DIAG_DOC, chain=dict(CHAIN, seed=True))),
+    ],
+    ids=[
+        "no-matrices",
+        "dim-bool",
+        "non-numeric-entry",
+        "ragged-rows",
+        "dim-too-large-for-entries",
+        "chain-without-transition",
+        "chain-list",
+        "chain-ragged",
+        "chain-seed-string",
+        "chain-seed-float",
+        "chain-seed-bool",
+    ],
+)
+def test_malformed_document_is_exit_2(tmp_path, cmd, doc):
     p = tmp_path / "bad.json"
-    p.write_text('{"dim": 2, "matrices": []}')
-    run_cli("estimate", "--input", str(p), expect=2)
+    p.write_text(json.dumps(doc))
+    out = run_cli(cmd, "--input", str(p), expect=2)
+    assert out.stderr.startswith("input error:")
 
 
 def test_unknown_family_is_exit_2():

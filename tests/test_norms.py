@@ -38,16 +38,6 @@ def test_weighted_norm_model():
     assert n.vector(np.array([1.0, 1.0])) == pytest.approx(2.0)
 
 
-def test_polytope_norm_unit_square_matches_sup():
-    verts = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-    n = NormModel.polytope(verts)
-    s = NormModel.sup(2)
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        v = rng.normal(size=2)
-        assert n.vector(v) == pytest.approx(s.vector(v), rel=1e-9)
-
-
 def test_angular_grid_constant_values_is_inscribed_polygon():
     n = NormModel.angular_grid(np.ones(16))
     e = NormModel.euclidean(2)
@@ -93,6 +83,28 @@ def test_norm_json_round_trip():
         m = NormModel.from_json(n.to_json())
         v = np.ones(n.dim)
         assert m.vector(v) == pytest.approx(n.vector(v), rel=1e-12)
+
+
+def test_saved_polytope_norm_is_an_unknown_kind():
+    doc = {"kind": "polytope", "dim": 2, "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
+    with pytest.raises(InputError, match="unknown norm kind"):
+        NormModel.from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        ["euclidean", 2],
+        {"dim": 2},
+        {"kind": "euclidean"},
+        {"kind": "euclidean", "dim": "2"},
+        {"kind": "euclidean", "dim": 2.5},
+        {"kind": "euclidean", "dim": True},
+    ],
+)
+def test_norm_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(InputError):
+        NormModel.from_json(doc)
 
 
 def test_angular_grid_copy_and_pickle_keep_the_cached_ball():

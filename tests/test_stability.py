@@ -39,6 +39,8 @@ def test_chain_spec_rejects_non_finite_entries_and_negative_seed():
                         np.array([0.5, 0.5]))
     with pytest.raises(InputError):
         MarkovChainSpec.uniform(2, seed=-1)
+    with pytest.raises(InputError):
+        MarkovChainSpec.uniform(2, seed=2.7)
 
 
 def test_chain_spec_is_immutable_and_owns_its_data():
@@ -77,6 +79,24 @@ def test_chain_json_round_trip():
     assert np.allclose(again.transition, chain.transition)
     assert np.allclose(again.initial, chain.initial)
     assert again.seed == chain.seed
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[0.5, 0.5], [0.5, 0.5]],
+        {"initial": [0.5, 0.5]},
+        {"transition": [[0.5, 0.5], [0.5, 0.5]]},
+        {"transition": [[0.5, 0.5], [0.5]], "initial": [0.5, 0.5]},
+        {"transition": [["a", 0.5], [0.5, 0.5]], "initial": [0.5, 0.5]},
+        {"transition": [[0.5, 0.5], [0.5, 0.5]], "initial": [0.5, 0.5], "seed": "abc"},
+        {"transition": [[0.5, 0.5], [0.5, 0.5]], "initial": [0.5, 0.5], "seed": 2.7},
+        {"transition": [[0.5, 0.5], [0.5, 0.5]], "initial": [0.5, 0.5], "seed": False},
+    ],
+)
+def test_chain_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(InputError):
+        MarkovChainSpec.from_json(doc)
 
 
 def test_single_matrix_exponent_is_log_spectral_radius():

@@ -254,7 +254,7 @@ def test_beta_sandwich_fails_fast_at_word_cap(shear_pair):
     for o in (obs, generic):
         start = time.perf_counter()
         with pytest.raises(ResourceCapError):
-            beta_sandwich(o, depth=15, max_period=2, cap=2**14)
+            beta_sandwich(o, depth=21, max_period=2)
         with pytest.raises(ResourceCapError):
-            subordination_survivors(o, 0.5, depth=15, tol=1e-6, cap=2**14)
+            subordination_survivors(o, 0.5, depth=21, tol=1e-6)
         assert time.perf_counter() - start < 0.1
