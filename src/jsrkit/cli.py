@@ -323,7 +323,8 @@ COMMANDS = {
         ("--max-period", dict(type=int, default=8, help="lower bound period cap")),
     )),
     "triangularise": (cmd_triangularise, "simultaneous block triangular form", (
-        ("--tol", dict(type=float, default=1e-8)),
+        ("--tol", dict(type=float, default=1e-8, help="subspace tolerance, relative "
+                       "to the largest entry (default 1e-8)")),
         ("--seed", dict(type=int, default=0)),
         ("--gap", dict(type=float, default=1e-8, help="block jsr gap")),
     )),

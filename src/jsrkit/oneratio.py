@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 from .cocycle import periodic_values
 from .errors import InputError
+from .mather import find_extremal_prefix
 from .matrices import MatrixSet
+from .norms import kozyakin_extremal_witness
 from .words import symbol_frequency
 
 __all__ = [
@@ -94,9 +96,6 @@ def ratio_equivalence_check(
     ``norms._KOZYAKIN_TOL``).  Reports the ranges and whether all nonempty
     ones mutually overlap within 2/n.
     """
-    from .mather import find_extremal_prefix
-    from .norms import kozyakin_extremal_witness
-
     n = approx.max_depth
     est = optimal_periodic_ratio(ms, symbol, max_period=max_period)
     ranges = {}

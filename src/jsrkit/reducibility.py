@@ -1,11 +1,12 @@
 """Common invariant subspaces, upper triangularisation and relative
 product boundedness of a matrix set.
 
-Irreducibility is certified through the generated algebra: if products of
-the set (together with the identity) span all of the d x d matrices, no
-common invariant subspace exists.  When the algebra is deficient, a
-subspace is located by growing the orbit of an eigenvector of a random
-member of the linear span of the set.
+One closure, ``_orbit_span``, grows the smallest subspace that contains a
+vector and is invariant under given matrices.  The closure of vec(I) is the
+algebra the set generates; when it spans all d x d matrices, no common
+invariant subspace exists.  Otherwise a subspace is the closure of an
+eigenvector of a random member of the span of the set.  Tolerances are
+relative to the set's largest entry, so no verdict depends on its scale.
 """
 
 from __future__ import annotations
@@ -35,88 +36,72 @@ _GROWTH_BEAM = 256  # products kept per level of the growth fit
 _BOUNDED_TOL = 1e-6  # relative slack on the certified norm's rate
 
 
-def _algebra_rank(ms: MatrixSet, tol: float) -> int:
-    """Rank of the span of all products of {I, A_1..A_l} (length <= d*d)."""
-    d = ms.dim
-    # grow an orthonormal row basis of vectorised products
-    vecs = [np.eye(d, dtype=np.complex128).reshape(-1)]
-    for a in ms.matrices:
-        vecs.append(a.reshape(-1))
-    q = np.zeros((0, d * d), dtype=np.complex128)
-
-    def insert(v, q):
-        if q.shape[0]:
-            v = v - (q.conj() @ v) @ q
-        n = np.linalg.norm(v)
-        if n > tol:
-            return np.vstack([q, v[None, :] / n]), True
-        return q, False
-
-    frontier = []
-    for v in vecs:
-        q, added = insert(v, q)
-        if added:
-            frontier.append(v)
-    while frontier and q.shape[0] < d * d:
-        new_frontier = []
-        for v in frontier:
-            mat = v.reshape(d, d)
-            for a in ms.matrices:
-                for prod in (a @ mat, mat @ a):
-                    w = prod.reshape(-1)
-                    n = np.linalg.norm(w)
-                    if n == 0.0:
-                        continue
-                    q, added = insert(w / n, q)
-                    if added:
-                        new_frontier.append(w / n)
-        frontier = new_frontier
-    return q.shape[0]
-
-
-def _orbit_span(ms: MatrixSet, v: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the smallest invariant subspace containing v."""
-    d = ms.dim
+def _orbit_span(mats: list, v: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the smallest subspace containing v and
+    invariant under ``mats``.  The image of a frontier (unit) vector joins
+    when, projected off the basis twice, it keeps more than ``tol`` of its
+    norm; an image below ``tol`` times the largest entry of ``mats`` is the
+    rounding noise of a kernel vector and is dropped."""
+    dim = v.shape[0]
+    floor = tol * max(max_entry_norm(a) for a in mats)
     v = v / np.linalg.norm(v)
     basis = v[:, None].astype(np.complex128)
     frontier = [v]
-    while frontier and basis.shape[1] < d:
+    while frontier and basis.shape[1] < dim:
         new_frontier = []
-        for u in frontier:
-            for a in ms.matrices:
-                w = a @ u
-                w = w - basis @ (basis.conj().T @ w)
-                n = np.linalg.norm(w)
-                if n > tol:
-                    w = w / n
-                    basis = np.hstack([basis, w[:, None]])
-                    new_frontier.append(w)
+        for w in (a @ u for u in frontier for a in mats):
+            n = np.linalg.norm(w)
+            if n <= floor or basis.shape[1] == dim:
+                continue
+            w = w / n
+            r = w - basis @ (basis.conj().T @ w)
+            r = r - basis @ (basis.conj().T @ r)
+            rn = np.linalg.norm(r)
+            if rn > tol:
+                basis = np.hstack([basis, r[:, None] / rn])
+                new_frontier.append(w)
         frontier = new_frontier
     return basis
+
+
+def _algebra_dim(ms: MatrixSet, tol: float) -> int:
+    """Dimension of the algebra generated by the set and I: every product is
+    A_wn...A_w1 I, so it is the closure of vec(I) under left multiplication,
+    which on the row-major vec is kron(A_i, I)."""
+    eye = np.eye(ms.dim)
+    return _orbit_span([np.kron(a, eye) for a in ms.matrices], eye.reshape(-1), tol).shape[1]
 
 
 def _residual(ms: MatrixSet, basis: np.ndarray) -> float:
     proj = basis @ basis.conj().T
     eye = np.eye(ms.dim)
-    return max(
-        max_entry_norm((eye - proj) @ a @ proj) for a in ms.matrices
-    )
+    return max(max_entry_norm((eye - proj) @ a @ proj) for a in ms.matrices)
+
+
+def _completion(basis: np.ndarray) -> np.ndarray:
+    """Unitary whose leading columns span the same space as ``basis``."""
+    d = basis.shape[0]
+    q, _ = np.linalg.qr(np.hstack([basis, np.eye(d, dtype=np.complex128)]))
+    return q[:, :d]
 
 
 def find_common_invariant_subspace(ms: MatrixSet, tol: float = 1e-8, seed: int = 0):
     """Orthonormal basis of a proper common invariant subspace, or None.
 
-    None is returned exactly when the generated algebra has full rank d*d
-    (so no such subspace can exist).  Otherwise eigenvectors of random
+    None is returned exactly when the generated algebra has full dimension
+    d*d (so no such subspace can exist).  Otherwise eigenvectors of random
     members of the span of the set are tried, ``_SUBSPACE_ATTEMPTS`` of
     them; every invariant subspace contains an eigenvector of each such
-    member, so its orbit stays proper for suitable starting vectors.
+    member, so its orbit stays proper for suitable starting vectors.  A
+    subspace passes when no A_i maps it further than ``tol`` times the
+    set's largest entry modulus out of itself.
     """
     d = ms.dim
     if d == 1:
         return None
-    if _algebra_rank(ms, tol) == d * d:
+    if _algebra_dim(ms, tol) == d * d:
         return None
+    limit = tol * max_entry_norm(ms.stack())
     rng = np.random.default_rng(seed)
     for attempt in range(_SUBSPACE_ATTEMPTS):
         if attempt == 0 and len(ms) == 1:
@@ -131,8 +116,8 @@ def find_common_invariant_subspace(ms: MatrixSet, tol: float = 1e-8, seed: int =
         except np.linalg.LinAlgError:
             continue
         for k in range(d):
-            basis = _orbit_span(ms, vectors[:, k], tol)
-            if basis.shape[1] < d and _residual(ms, basis) <= tol:
+            basis = _orbit_span(ms.matrices, vectors[:, k], tol)
+            if basis.shape[1] < d and _residual(ms, basis) <= limit:
                 return basis
     raise NumericalError(
         "the generated algebra is rank deficient but no invariant subspace "
@@ -153,22 +138,16 @@ class Triangularisation:
     residual: float
 
     def to_json(self) -> dict:
+        def parts(a):
+            return {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
+
         return {
             "basis_change_re": np.real(self.basis_change).tolist(),
             "basis_change_im": np.imag(self.basis_change).tolist(),
             "block_dim": self.block_dim,
-            "upper_blocks": [
-                {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
-                for a in self.upper_blocks.matrices
-            ],
-            "lower_blocks": [
-                {"re": np.real(a).tolist(), "im": np.imag(a).tolist()}
-                for a in self.lower_blocks.matrices
-            ],
-            "corner_blocks": [
-                {"re": np.real(b).tolist(), "im": np.imag(b).tolist()}
-                for b in self.corner_blocks
-            ],
+            "upper_blocks": [parts(a) for a in self.upper_blocks.matrices],
+            "lower_blocks": [parts(a) for a in self.lower_blocks.matrices],
+            "corner_blocks": [parts(b) for b in self.corner_blocks],
             "residual": self.residual,
         }
 
@@ -179,17 +158,16 @@ def triangularise(ms: MatrixSet, tol: float = 1e-8, seed: int = 0) -> Triangular
     The subspace is enlarged greedily: after each find, the search repeats
     inside the quotient action on the orthogonal complement, and any
     subspace found there is lifted and joined on, until the quotient is
-    irreducible or only the full space would remain.
+    irreducible or only the full space would remain.  ``tol`` is relative
+    to the set's largest entry modulus, for the corner blocks too.
     """
     d = ms.dim
+    limit = tol * max_entry_norm(ms.stack())
     basis = find_common_invariant_subspace(ms, tol=tol, seed=seed)
     if basis is None:
         raise InputError("matrix set is irreducible; no triangularisation exists")
     while basis.shape[1] < d - 1:
-        q, _ = np.linalg.qr(
-            np.hstack([basis, np.eye(d, dtype=np.complex128)]), mode="reduced"
-        )
-        comp = q[:, basis.shape[1] : d]
+        comp = _completion(basis)[:, basis.shape[1] :]
         quotient = MatrixSet(
             tuple(comp.conj().T @ a @ comp for a in ms.matrices)
         )
@@ -200,15 +178,14 @@ def triangularise(ms: MatrixSet, tol: float = 1e-8, seed: int = 0) -> Triangular
         if sub is None:
             break
         enlarged = np.hstack([basis, comp @ sub])
-        if enlarged.shape[1] >= d or _residual(ms, enlarged) > tol:
+        if enlarged.shape[1] >= d or _residual(ms, enlarged) > limit:
             break
         basis = enlarged
     k = basis.shape[1]
-    q, _ = np.linalg.qr(np.hstack([basis, np.eye(d, dtype=np.complex128)]))
-    m = q[:, :d]
+    m = _completion(basis)
     blocks = [m.conj().T @ a @ m for a in ms.matrices]
     residual = max(max_entry_norm(b[k:, :k]) for b in blocks)
-    if residual > tol:
+    if residual > limit:
         raise NumericalError(
             "triangularisation residual exceeds tolerance", operand=m
         )

@@ -124,10 +124,6 @@ class MarkovEstimate:
     absorbed_count: int
     absorption_steps: tuple  # one entry per absorbed trial
 
-    @property
-    def absorbed_fraction(self) -> float:
-        return self.absorbed_count / self.trials
-
     def absorbed_by(self, step: int) -> float:
         """Empirical probability that a trial was absorbed at or before step."""
         return sum(1 for s in self.absorption_steps if s <= step) / self.trials

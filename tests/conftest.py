@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jsrkit import MatrixSet, estimate
+from jsrkit.families import rotation
 
 GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
@@ -52,3 +53,12 @@ def criterion5_case(k):
     b0 = estimate(ms, target_gap=1e-3, budget=200000, max_depth=40)
     ms = ms.scaled(1.0 / b0.upper)
     return ms, estimate(ms, target_gap=1e-3, budget=200000, max_depth=40)
+
+
+def hidden_triangular_pair(c=1.0):
+    """c * Q T_i Q^T, Q the rotation by 0.6: the triangular pair
+    T_1 = [[1, 1.5], [0, 0.4]], T_2 = [[-0.5, -1.2], [0, 0.3]] in a turned
+    basis.  Its JSR is c, carried by the upper block [c], [-0.5c]."""
+    q = rotation(0.6)
+    t = (np.array([[1.0, 1.5], [0.0, 0.4]]), np.array([[-0.5, -1.2], [0.0, 0.3]]))
+    return MatrixSet(tuple(c * (q @ a @ q.T) for a in t))

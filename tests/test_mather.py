@@ -19,7 +19,7 @@ from jsrkit import (
 from jsrkit import mather, norms, reducibility
 from jsrkit.families import rotation
 
-from conftest import GOLDEN, criterion5_case, random_matrix_set
+from conftest import GOLDEN, criterion5_case, hidden_triangular_pair, random_matrix_set
 
 
 @pytest.fixture
@@ -156,16 +156,29 @@ def test_certified_approx_certifies_criterion5_case1_by_barabanov():
 
 
 def test_certified_approx_triangularises_a_hidden_triangular_pair():
-    # Q T_i Q^T with Q the rotation by 0.6: no norm certifies the full set,
-    # so its upper block [1], [-0.5] is used
-    q = rotation(0.6)
-    t = (np.array([[1.0, 1.5], [0.0, 0.4]]), np.array([[-0.5, -1.2], [0.0, 0.3]]))
-    ms = MatrixSet(tuple(q @ a @ q.T for a in t))
+    # no norm certifies the full set, so its upper block [1], [-0.5] is used
+    ms = hidden_triangular_pair()
     est = estimate(ms, target_gap=1e-3, max_depth=24)
     found = certified_approx(ms, est, 7, 5e-3, seed=0, gap=1e-3)
     assert found.triangularised
     assert found.certified_by == "max_entry"
     assert found.approx.rho_hat == 1.0
+    for n in found.approx.depths:
+        assert found.approx.survivors[n] == frozenset({(1,) * n})
+
+
+@pytest.mark.parametrize("c", [1e-10, 1e10])
+def test_certified_approx_certifies_the_hidden_pair_at_any_scale(c):
+    # with absolute tolerances the block search found no subspace at 1e10
+    # and a wrong one at 1e-10, whose rate 1.1436c was reported as a lower
+    # bound on the JSR c
+    ms = hidden_triangular_pair(c)
+    est = estimate(ms, target_gap=1e-3 * c, max_depth=24)
+    found = certified_approx(ms, est, 7, 5e-3, seed=0, gap=1e-3 * c)
+    assert found.triangularised
+    assert found.certified_by == "max_entry"
+    assert found.approx.rho_hat == pytest.approx(c, rel=1e-12)
+    assert found.bounds.lower <= c * (1.0 + 1e-12)
     for n in found.approx.depths:
         assert found.approx.survivors[n] == frozenset({(1,) * n})
 

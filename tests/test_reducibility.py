@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from jsrkit import (
     triangularise,
 )
 
-from conftest import criterion5_case, random_matrix_set
+from jsrkit.reducibility import _algebra_dim
+
+from conftest import criterion5_case, hidden_triangular_pair, random_matrix_set
 
 
 def test_diagonal_pair_is_reducible(diag_set):
@@ -69,6 +73,75 @@ def test_triangularise_round_trip_residual():
     ms = MatrixSet(tuple(mats))
     tri = triangularise(ms)
     assert tri.residual <= 1e-8
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1e9, 1e12])
+def test_triangularise_does_not_depend_on_the_scale(c):
+    # with absolute tolerances the small sets got a subspace that is not
+    # invariant (diagonal [0.256c, 0.163c]) and the large ones none at all
+    tri = triangularise(hidden_triangular_pair(c), seed=0)
+    assert tri.block_dim == 1
+    diag = [a[0, 0] for a in tri.upper_blocks.matrices]
+    assert diag == pytest.approx([c, -0.5 * c], rel=1e-12)
+    assert tri.residual <= 1e-12 * c
+
+
+def _conjugated(mats, rng):
+    p = rng.normal(size=(mats[0].shape[0],) * 2)
+    return MatrixSet(tuple(np.linalg.solve(p, m @ p) for m in mats))
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_a_rank_deficient_map_keeps_its_invariant_subspace(c):
+    # rounding noise of an image of a kernel vector is dropped, not
+    # normalised into a new direction: a nilpotent matrix generates a
+    # 2-dimensional algebra, and a kernel shared with the invariant
+    # subspace does not hide it
+    rng = np.random.default_rng(3)
+    nilpotent = _conjugated((np.array([[0.0, 1.0], [0.0, 0.0]]),), rng).scaled(c)
+    assert _algebra_dim(nilpotent, 1e-8) == 2
+    assert find_common_invariant_subspace(nilpotent).shape[1] == 1
+    kernel = _conjugated((
+        np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 0.0], [0.0, 3.0, 1.0]]),
+        np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 3.0]]),
+    ), rng).scaled(c)
+    tri = triangularise(kernel, seed=0)
+    assert tri.block_dim == 1
+    assert tri.residual <= 1e-12 * c
+
+
+def _product_span_rank(ms):
+    """Rank of the normalised vecs of I and every product of length up to
+    Paz's bound ceil((d^2 + 2) / 3), which spans the generated algebra."""
+    d = ms.dim
+    level = np.eye(d)[None]
+    vecs = [level.reshape(1, -1)]
+    for _ in range(max(2, math.ceil((d * d + 2) / 3))):
+        level = np.concatenate([ms.stack() @ p for p in level])
+        flat = level.reshape(len(level), -1)
+        norms = np.linalg.norm(flat, axis=1)
+        vecs.append(flat[norms > 0] / norms[norms > 0, None])
+    s = np.linalg.svd(np.concatenate(vecs), compute_uv=False)
+    return int(np.sum(s > 1e-7 * s[0]))
+
+
+def test_algebra_dim_matches_the_span_of_all_short_products():
+    rng = np.random.default_rng(977)
+    for i in range(40):
+        d, ell = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        mats = [rng.normal(size=(d, d)) for _ in range(ell)]
+        if i % 2:  # conjugated block-triangular
+            k = int(rng.integers(1, d))
+            for m in mats:
+                m[k:, :k] = 0.0
+            q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            mats = [q @ m @ q.T for m in mats]
+        ms = MatrixSet(tuple(mats))
+        rank = _product_span_rank(ms)
+        for c in (1e-12, 1.0, 1e12):
+            scaled = ms.scaled(c)
+            assert _algebra_dim(scaled, 1e-8) == rank, (i, c)
+            assert (find_common_invariant_subspace(scaled) is None) == (rank == d * d), (i, c)
 
 
 def test_boundedness_diagonal_normalized(diag_set):
